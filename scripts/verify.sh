@@ -5,7 +5,8 @@
 # observability on a fresh cache, a supervision smoke (hang-injected
 # worker replaced by the watchdog, orphaned-lease repair by the doctor),
 # a seeded chaos smoke campaign with a doctor audit of the surviving
-# cache, the kernel-parity suite, the overhead/speedup benches, and the
+# cache, the kernel-parity suite, the repository benchmark's audit-cold
+# bit-identity gate, the overhead/speedup benches, and the
 # scale-mode stage (budgeted sharded sweep, SIGKILL/doctor/resume
 # parity, BENCH_scale.json floor re-check).
 #
@@ -64,6 +65,19 @@ python -m repro doctor --check --cache "$CHAOS_CACHE"
 echo "== vectorized-kernel parity (golden oracle) =="
 python -m pytest -x -q tests/text/test_kernels.py tests/text/test_feature_store.py \
     tests/matchers/test_feature_parity.py
+
+echo "== repository benchmark: harness tests + audit-cold bit-identity gate =="
+# The cold Ds1+Dt1 audit must reproduce the paper's verdicts and the
+# per-matcher score digests committed in perfbench/expected_digests.json.
+python -m pytest -q perfbench/tests
+python3 perfbench/run.py --workload audit-cold --seed 1 --seconds 10 --trace 0 \
+    | tee /tmp/audit_cold.out
+tail -n 1 /tmp/audit_cold.out | python -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] is True, "audit-cold: a correctness check failed"
+print("audit-cold bit-identity gate: OK")
+'
 
 echo "== observability + circuit-breaker + supervision overhead benches =="
 python -m pytest -x -q benchmarks/bench_obs.py benchmarks/bench_chaos.py \

@@ -4,7 +4,11 @@ Per dataset the suite evaluates:
 
 * the five DL-based matchers, each at its default epoch budget and at 40
   epochs (the paper's two settings; GNEM and HierMatcher default to 10),
-  with EMTransformer in both checkpoint variants;
+  with EMTransformer in both checkpoint variants. The two budgets of one
+  network share a :class:`~repro.matchers.deep.TrainingRun`: the shorter
+  fit is a prefix of the longer one, so the network's representation is
+  computed and its head trained once, whichever budget runs first, and
+  the 40-epoch unit's fit time covers only its extra epochs;
 * the non-neural, non-linear matchers: Magellan with DT/LR/RF/SVM heads
   (sharing one feature extractor) and ZeroER;
 * the six linear ESDE variants.
@@ -34,6 +38,7 @@ from repro.matchers.deep import (
     EMTransformerNet,
     GnemNet,
     HierMatcherNet,
+    TrainingRun,
 )
 from repro.matchers.esde import EsdeMatcher
 from repro.matchers.features import MagellanFeatureExtractor
@@ -71,18 +76,23 @@ LONG_EPOCHS = 40
 
 def build_suite(task: MatchingTask, seed: int = 0) -> list[Matcher]:
     """Fresh matcher instances for one task, in table order."""
+    return _roster(task, seed, share_training=True)
+
+
+def _roster(task: MatchingTask, seed: int, share_training: bool) -> list[Matcher]:
+    networks = (
+        (partial(DeepMatcherNet, seed=seed), DEFAULT_EPOCHS["DeepMatcher"]),
+        (partial(DittoNet, seed=seed), DEFAULT_EPOCHS["DITTO"]),
+        (partial(EMTransformerNet, "B", seed=seed), DEFAULT_EPOCHS["EMTransformer"]),
+        (partial(EMTransformerNet, "R", seed=seed), DEFAULT_EPOCHS["EMTransformer"]),
+        (partial(GnemNet, seed=seed), DEFAULT_EPOCHS["GNEM"]),
+        (partial(HierMatcherNet, seed=seed), DEFAULT_EPOCHS["HierMatcher"]),
+    )
     suite: list[Matcher] = []
-    for epochs in (DEFAULT_EPOCHS["DeepMatcher"], LONG_EPOCHS):
-        suite.append(DeepMatcherNet(epochs=epochs, seed=seed))
-    for epochs in (DEFAULT_EPOCHS["DITTO"], LONG_EPOCHS):
-        suite.append(DittoNet(epochs=epochs, seed=seed))
-    for variant in ("B", "R"):
-        for epochs in (DEFAULT_EPOCHS["EMTransformer"], LONG_EPOCHS):
-            suite.append(EMTransformerNet(variant=variant, epochs=epochs, seed=seed))
-    for epochs in (DEFAULT_EPOCHS["GNEM"], LONG_EPOCHS):
-        suite.append(GnemNet(epochs=epochs, seed=seed))
-    for epochs in (DEFAULT_EPOCHS["HierMatcher"], LONG_EPOCHS):
-        suite.append(HierMatcherNet(epochs=epochs, seed=seed))
+    for network, default_epochs in networks:
+        budgets = (default_epochs, LONG_EPOCHS)
+        training = TrainingRun(budgets) if share_training else None
+        suite.extend(network(epochs=epochs, training=training) for epochs in budgets)
 
     shared_extractor = MagellanFeatureExtractor(
         task.attributes, store=store_for_task(task)
@@ -129,8 +139,12 @@ def degraded_result(matcher_name: str, task_name: str) -> MatcherResult:
 
 
 def build_matcher(task: MatchingTask, matcher_spec: str, seed: int = 0) -> Matcher:
-    """One fresh matcher of the roster by table name (e.g. ``"DITTO (15)"``)."""
-    for matcher in build_suite(task, seed=seed):
+    """One fresh matcher of the roster by table name (e.g. ``"DITTO (15)"``).
+
+    A deep matcher built this way trains alone: it shares no training run
+    with its other epoch budget.
+    """
+    for matcher in _roster(task, seed, share_training=False):
         if matcher.name == matcher_spec:
             return matcher
     raise KeyError(f"unknown matcher spec {matcher_spec!r}")

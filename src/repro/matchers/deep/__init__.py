@@ -16,10 +16,12 @@ Each matcher keeps its original's architectural signature:
   cross-attribute alignment on static embeddings.
 
 All train a numpy MLP head with minibatch Adam; the validation set selects
-the best epoch (the protocol Section V-B enforces).
+the best epoch (the protocol Section V-B enforces). A :class:`TrainingRun`
+lets instances of one network that differ only in epochs share that
+training.
 """
 
-from repro.matchers.deep.base import DeepMatcherBase
+from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
 from repro.matchers.deep.deepmatcher import DeepMatcherNet
 from repro.matchers.deep.emtransformer import EMTransformerNet
 from repro.matchers.deep.gnem import GnemNet
@@ -33,4 +35,5 @@ __all__ = [
     "EMTransformerNet",
     "GnemNet",
     "HierMatcherNet",
+    "TrainingRun",
 ]

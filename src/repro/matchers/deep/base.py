@@ -6,22 +6,91 @@ vector, defined per subclass and where the taxonomy differences live) plus a
 ``epochs`` epochs of minibatch Adam and keeps the parameters of the best
 validation-F1 epoch, exactly the model-selection protocol the paper enforces
 on EMTransformer (Section V-B).
+
+Instances of one network that differ only in ``epochs`` can share a
+:class:`TrainingRun`: a shorter budget's fit is a prefix of a longer one's,
+so one representation pass and one resumable head trajectory serve every
+budget.
 """
 
 from __future__ import annotations
 
 import abc
+import threading
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.data.pairs import LabeledPairSet, RecordPair
 from repro.data.task import MatchingTask
 from repro.matchers.base import Matcher
-from repro.ml.mlp import MLPClassifier
+from repro.ml.mlp import MLPClassifier, MLPTrajectory
+
+
+class TrainingRun:
+    """One head-training trajectory shared by the epoch budgets of a network.
+
+    Instances that differ only in ``epochs`` train identically for their
+    common epochs: same representation, same initial parameters (``seed``)
+    and same per-epoch permutations (``seed + 1``). The run computes the
+    training and validation representations once, advances one
+    :class:`MLPTrajectory` and stores the head at each budget it passes, so
+    the instances can be fitted in either order and each gets exactly the
+    head it would have trained alone.
+
+    A lock guards the run: a unit abandoned at its deadline keeps training
+    in a leaked thread, and its sibling waits for it rather than racing it.
+    An exception while training discards the run, so the sibling retrains
+    from scratch. The trajectory is dropped once it has passed the largest
+    budget, and each stored head once it has been handed out.
+    """
+
+    def __init__(self, budgets: Iterable[int]) -> None:
+        self.budgets = tuple(sorted(set(budgets)))
+        self._lock = threading.Lock()
+        self._task: MatchingTask | None = None
+        self._trajectory: MLPTrajectory | None = None
+        self._heads: dict[int, MLPClassifier] = {}
+
+    def head(self, matcher: "DeepMatcherBase", task: MatchingTask) -> MLPClassifier:
+        """The head *matcher*, prepared on *task*, trains for its budget."""
+        with self._lock:
+            try:
+                return self._advance(matcher, task)
+            except BaseException:
+                self._discard()
+                raise
+
+    def _advance(self, matcher: "DeepMatcherBase", task: MatchingTask) -> MLPClassifier:
+        if task is not self._task:
+            self._discard()
+            self._task = task
+        head = self._heads.pop(matcher.epochs, None)
+        if head is not None:
+            return head
+        if self._trajectory is None or self._trajectory.epochs_run >= matcher.epochs:
+            self._trajectory = matcher._start_trajectory(task)
+        trajectory = self._trajectory
+        for budget in self.budgets:
+            if trajectory.epochs_run < budget <= matcher.epochs:
+                trajectory.run_to(budget)
+                self._heads[budget] = trajectory.export(matcher._new_head(budget))
+        if trajectory.epochs_run == self.budgets[-1]:
+            self._trajectory = None
+        return self._heads.pop(matcher.epochs)
+
+    def _discard(self) -> None:
+        self._task = None
+        self._trajectory = None
+        self._heads.clear()
 
 
 class DeepMatcherBase(Matcher):
-    """Representation + highway-MLP head with validation model selection."""
+    """Representation + highway-MLP head with validation model selection.
+
+    *training* shares one :class:`TrainingRun` between instances that differ
+    only in ``epochs``; without it the instance trains alone.
+    """
 
     def __init__(
         self,
@@ -32,16 +101,25 @@ class DeepMatcherBase(Matcher):
         learning_rate: float = 5e-3,
         batch_size: int = 64,
         seed: int = 0,
+        training: TrainingRun | None = None,
     ) -> None:
         super().__init__(name=name)
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if training is None:
+            training = TrainingRun((epochs,))
+        elif epochs not in training.budgets:
+            raise ValueError(
+                f"epochs {epochs} is not a budget of the shared training run "
+                f"{training.budgets}"
+            )
         self.epochs = epochs
         self.hidden_size = hidden_size
         self.n_highway = n_highway
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.seed = seed
+        self._training = training
         self._head: MLPClassifier | None = None
 
     # -- subclass hooks ------------------------------------------------------
@@ -66,27 +144,34 @@ class DeepMatcherBase(Matcher):
         """(n_pairs, dim) representation matrix in pair order."""
         return np.stack([self._represent(pair) for pair, __ in pairs])
 
-    def _fit(self, task: MatchingTask) -> None:
-        self._prepare(task)
+    def _new_head(self, epochs: int) -> MLPClassifier:
+        return MLPClassifier(
+            hidden_size=self.hidden_size,
+            n_highway=self.n_highway,
+            epochs=epochs,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            seed=self.seed,
+        )
+
+    def _start_trajectory(self, task: MatchingTask) -> MLPTrajectory:
+        """A fresh head trajectory on this (prepared) instance's representation."""
         training = self.representation_matrix(task.training)
         validation = self.representation_matrix(task.validation)
         features, labels = self._augment(
             training, task.training.labels, task
         )
-        self._head = MLPClassifier(
-            hidden_size=self.hidden_size,
-            n_highway=self.n_highway,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
-        self._head.fit(
+        return MLPTrajectory(
+            self._new_head(self.epochs),
             features,
             labels,
             validation_features=validation,
             validation_labels=task.validation.labels,
         )
+
+    def _fit(self, task: MatchingTask) -> None:
+        self._prepare(task)
+        self._head = self._training.head(self, task)
 
     def _predict(self, pairs: LabeledPairSet) -> np.ndarray:
         assert self._head is not None

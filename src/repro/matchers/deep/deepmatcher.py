@@ -19,16 +19,21 @@ from repro.embeddings.distances import (
 )
 from repro.embeddings.provider import static_embedder_for_task
 from repro.embeddings.static import StaticEmbedder
-from repro.matchers.deep.base import DeepMatcherBase
+from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
 from repro.text.similarity import jaccard_similarity
 
 
 class DeepMatcherNet(DeepMatcherBase):
     """Per-attribute static-embedding similarity vectors + highway head."""
 
-    def __init__(self, epochs: int = 15, seed: int = 0) -> None:
+    def __init__(
+        self, epochs: int = 15, seed: int = 0, training: TrainingRun | None = None
+    ) -> None:
         super().__init__(
-            name=f"DeepMatcher ({epochs})", epochs=epochs, seed=seed
+            name=f"DeepMatcher ({epochs})",
+            epochs=epochs,
+            seed=seed,
+            training=training,
         )
         self._embedder: StaticEmbedder | None = None
         self._attributes: tuple[str, ...] = ()

@@ -26,7 +26,7 @@ from repro.data.task import MatchingTask
 from repro.embeddings.contextual import ContextualEmbedder
 from repro.embeddings.distances import cosine_vector_similarity
 from repro.embeddings.provider import contextual_embedder_for_task
-from repro.matchers.deep.base import DeepMatcherBase
+from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
 from repro.matchers.deep.lexical import LexicalEvidence
 from repro.text.tokenize import tokenize
 from repro.text.vectorize import TfIdfVectorizer
@@ -51,8 +51,14 @@ class DittoNet(DeepMatcherBase):
         max_tokens: int = 48,
         augment_copies: int = 2,
         seed: int = 0,
+        training: TrainingRun | None = None,
     ) -> None:
-        super().__init__(name=f"DITTO ({epochs})", epochs=epochs, seed=seed + 11)
+        super().__init__(
+            name=f"DITTO ({epochs})",
+            epochs=epochs,
+            seed=seed + 11,
+            training=training,
+        )
         if max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
         if augment_copies < 0:

@@ -20,7 +20,7 @@ from repro.data.task import MatchingTask
 from repro.embeddings.contextual import ContextualEmbedder
 from repro.embeddings.distances import cosine_vector_similarity
 from repro.embeddings.provider import contextual_embedder_for_task
-from repro.matchers.deep.base import DeepMatcherBase
+from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
 from repro.matchers.deep.lexical import LexicalEvidence
 from repro.text.tokenize import tokenize
 from repro.text.vectorize import TfIdfVectorizer
@@ -30,7 +30,11 @@ class EMTransformerNet(DeepMatcherBase):
     """Sequence-pair classification over contextual record encodings."""
 
     def __init__(
-        self, variant: str = "B", epochs: int = 15, seed: int = 0
+        self,
+        variant: str = "B",
+        epochs: int = 15,
+        seed: int = 0,
+        training: TrainingRun | None = None,
     ) -> None:
         if variant not in ("B", "R"):
             raise ValueError(f"variant must be 'B' or 'R', got {variant!r}")
@@ -38,6 +42,7 @@ class EMTransformerNet(DeepMatcherBase):
             name=f"EMTransformer-{variant} ({epochs})",
             epochs=epochs,
             seed=seed + (0 if variant == "B" else 1),
+            training=training,
         )
         self.variant = variant
         self._embedder: ContextualEmbedder | None = None

@@ -22,7 +22,7 @@ from repro.data.task import MatchingTask
 from repro.embeddings.contextual import ContextualEmbedder
 from repro.embeddings.distances import cosine_vector_similarity
 from repro.embeddings.provider import contextual_embedder_for_task
-from repro.matchers.deep.base import DeepMatcherBase
+from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
 from repro.matchers.deep.lexical import LexicalEvidence
 from repro.text.tokenize import tokenize
 from repro.text.vectorize import TfIdfVectorizer
@@ -32,9 +32,18 @@ class GnemNet(DeepMatcherBase):
     """Local dynamic encoder + one global propagation step over pairs."""
 
     def __init__(
-        self, epochs: int = 10, propagation: float = 0.25, seed: int = 0
+        self,
+        epochs: int = 10,
+        propagation: float = 0.25,
+        seed: int = 0,
+        training: TrainingRun | None = None,
     ) -> None:
-        super().__init__(name=f"GNEM ({epochs})", epochs=epochs, seed=seed + 23)
+        super().__init__(
+            name=f"GNEM ({epochs})",
+            epochs=epochs,
+            seed=seed + 23,
+            training=training,
+        )
         if not 0.0 <= propagation < 1.0:
             raise ValueError(f"propagation must be in [0, 1), got {propagation}")
         self.propagation = propagation

@@ -21,7 +21,7 @@ from repro.data.records import Record
 from repro.data.task import MatchingTask
 from repro.embeddings.provider import static_embedder_for_task
 from repro.embeddings.static import StaticEmbedder
-from repro.matchers.deep.base import DeepMatcherBase
+from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
 from repro.text.tokenize import tokenize
 from repro.text.vectorize import TfIdfVectorizer
 
@@ -29,9 +29,14 @@ from repro.text.vectorize import TfIdfVectorizer
 class HierMatcherNet(DeepMatcherBase):
     """Token -> attribute -> entity alignment features + MLP head."""
 
-    def __init__(self, epochs: int = 10, seed: int = 0) -> None:
+    def __init__(
+        self, epochs: int = 10, seed: int = 0, training: TrainingRun | None = None
+    ) -> None:
         super().__init__(
-            name=f"HierMatcher ({epochs})", epochs=epochs, seed=seed + 37
+            name=f"HierMatcher ({epochs})",
+            epochs=epochs,
+            seed=seed + 37,
+            training=training,
         )
         self._embedder: StaticEmbedder | None = None
         self._vectorizer: TfIdfVectorizer | None = None

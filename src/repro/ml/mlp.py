@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import check_features, check_labels
+from repro.ml.metrics import f1_score
 from repro.ml.optim import Adam
 
 
@@ -36,7 +37,9 @@ class MLPClassifier:
 
     ``fit`` supports an optional validation set: the parameters from the
     epoch with the best validation F1 are kept (the model-selection protocol
-    the paper enforces on EMTransformer in Section V-B).
+    the paper enforces on EMTransformer in Section V-B). It trains through
+    an :class:`MLPTrajectory`, which can stop at one epoch budget and
+    resume to a longer one.
     """
 
     def __init__(
@@ -128,7 +131,7 @@ class MLPClassifier:
         params: list[np.ndarray],
         caches: list[dict[str, np.ndarray]],
     ) -> list[np.ndarray]:
-        grads = [np.zeros_like(p) for p in params]
+        grads: list = [None] * len(params)  # every slot is assigned below
         hidden = caches[-1]["out"]
         grads[-2] = hidden.T @ grad_logits
         grads[-1] = np.array([grad_logits.sum()])
@@ -169,61 +172,11 @@ class MLPClassifier:
         validation_features: np.ndarray | None = None,
         validation_labels: np.ndarray | None = None,
     ) -> "MLPClassifier":
-        array = check_features(features)
-        target = check_labels(labels, array.shape[0]).astype(np.float64)
-        self._n_features = array.shape[1]
-        params = self._init_params(self._n_features)
-        optimizer = Adam(params, learning_rate=self.learning_rate)
-        rng = np.random.default_rng(self.seed + 1)
-        n_samples = array.shape[0]
-
-        if self.balanced:
-            positives = target.sum()
-            negatives = n_samples - positives
-            if positives > 0 and negatives > 0:
-                sample_weight = np.where(
-                    target == 1.0,
-                    n_samples / (2.0 * positives),
-                    n_samples / (2.0 * negatives),
-                )
-            else:
-                sample_weight = np.ones(n_samples)
-        else:
-            sample_weight = np.ones(n_samples)
-
-        use_validation = (
-            validation_features is not None and validation_labels is not None
+        trajectory = MLPTrajectory(
+            self, features, labels, validation_features, validation_labels
         )
-        best_f1 = -1.0
-        best_params: list[np.ndarray] | None = None
-        self.validation_f1_history_ = []
-
-        batch = max(1, min(self.batch_size, n_samples))
-        for __ in range(self.epochs):
-            order = rng.permutation(n_samples)
-            for start in range(0, n_samples, batch):
-                chunk = order[start : start + batch]
-                x = array[chunk]
-                y = target[chunk]
-                w = sample_weight[chunk]
-                logits, caches = self._forward(x, params)
-                probabilities = _sigmoid(logits)
-                grad_logits = (probabilities - y) * w / w.sum()
-                grads = self._backward(grad_logits, params, caches)
-                optimizer.step(grads)
-            if use_validation:
-                self._params = params
-                from repro.ml.metrics import f1_score
-
-                predictions = self.predict(validation_features)
-                score = f1_score(np.asarray(validation_labels), predictions)
-                self.validation_f1_history_.append(score)
-                if score > best_f1:
-                    best_f1 = score
-                    best_params = [p.copy() for p in params]
-
-        self._params = best_params if best_params is not None else params
-        return self
+        trajectory.run_to(self.epochs)
+        return trajectory.export(self)
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Raw output logits."""
@@ -242,3 +195,105 @@ class MLPClassifier:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return (self.predict_proba(features) >= 0.5).astype(np.int64)
+
+
+class MLPTrajectory:
+    """One resumable training run of an :class:`MLPClassifier`.
+
+    Holds everything a run carries from one epoch to the next: the
+    parameters, the Adam state, the permutation stream (seeded
+    ``seed + 1``), the best-validation-F1 parameters and the validation-F1
+    history. A run stopped after ``n`` epochs and resumed to ``m`` is
+    therefore the ``m``-epoch fit, and its state after ``n`` epochs is the
+    ``n``-epoch fit: :meth:`MLPClassifier.fit` is ``run_to(epochs)``
+    followed by :meth:`export`.
+
+    *model* supplies the architecture and optimiser settings; its
+    ``epochs`` is not read.
+    """
+
+    def __init__(
+        self,
+        model: MLPClassifier,
+        features: np.ndarray,
+        labels: np.ndarray,
+        validation_features: np.ndarray | None = None,
+        validation_labels: np.ndarray | None = None,
+    ) -> None:
+        self._model = model
+        self._features = check_features(features)
+        self._target = check_labels(labels, self._features.shape[0]).astype(
+            np.float64
+        )
+        n_samples = self._features.shape[0]
+        self._params = model._init_params(self._features.shape[1])
+        self._optimizer = Adam(self._params, learning_rate=model.learning_rate)
+        self._rng = np.random.default_rng(model.seed + 1)
+        self._batch = max(1, min(model.batch_size, n_samples))
+
+        positives = self._target.sum()
+        negatives = n_samples - positives
+        if model.balanced and positives > 0 and negatives > 0:
+            self._sample_weight = np.where(
+                self._target == 1.0,
+                n_samples / (2.0 * positives),
+                n_samples / (2.0 * negatives),
+            )
+        else:
+            self._sample_weight = np.ones(n_samples)
+
+        self._validation: tuple[np.ndarray, np.ndarray] | None = None
+        if validation_features is not None and validation_labels is not None:
+            self._validation = (
+                check_features(validation_features),
+                np.asarray(validation_labels),
+            )
+        self._best_f1 = -1.0
+        self._best_params: list[np.ndarray] | None = None
+        self.history: list[float] = []
+        self.epochs_run = 0
+
+    def run_to(self, epochs: int) -> None:
+        """Train until ``epochs`` epochs have run in total."""
+        while self.epochs_run < epochs:
+            self._epoch()
+            self.epochs_run += 1
+
+    def _epoch(self) -> None:
+        model = self._model
+        params = self._params
+        n_samples = self._features.shape[0]
+        order = self._rng.permutation(n_samples)
+        for start in range(0, n_samples, self._batch):
+            chunk = order[start : start + self._batch]
+            x = self._features[chunk]
+            y = self._target[chunk]
+            w = self._sample_weight[chunk]
+            logits, caches = model._forward(x, params)
+            probabilities = _sigmoid(logits)
+            grad_logits = (probabilities - y) * w / w.sum()
+            self._optimizer.step(model._backward(grad_logits, params, caches))
+        if self._validation is not None:
+            features, labels = self._validation
+            logits, __ = model._forward(features, params)
+            predictions = (_sigmoid(logits) >= 0.5).astype(np.int64)
+            score = f1_score(labels, predictions)
+            self.history.append(score)
+            if score > self._best_f1:
+                self._best_f1 = score
+                self._best_params = [p.copy() for p in params]
+
+    def export(self, model: MLPClassifier) -> MLPClassifier:
+        """Give *model* the fit after ``epochs_run`` epochs and return it.
+
+        That is the best-validation-F1 parameters (the current ones when
+        there is no validation set) and the validation-F1 history so far.
+        """
+        model._n_features = self._features.shape[1]
+        model._params = (
+            self._best_params
+            if self._best_params is not None
+            else [p.copy() for p in self._params]
+        )
+        model.validation_f1_history_ = list(self.history)
+        return model

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ml import GaussianMixture, MLPClassifier, f1_score
+from repro.ml.mlp import MLPTrajectory
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,34 @@ class TestMlp:
         np.testing.assert_allclose(
             first.predict_proba(features), second.predict_proba(features)
         )
+
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_resumed_trajectory_equals_fresh_fits(self, xor_data, with_validation):
+        features, labels = xor_data
+        split = 350
+        validation = (
+            (features[split:], labels[split:]) if with_validation else (None, None)
+        )
+        trajectory = MLPTrajectory(
+            MLPClassifier(hidden_size=8, seed=3), features[:split], labels[:split],
+            *validation,
+        )
+        resumed = {}
+        for epochs in (4, 20):
+            trajectory.run_to(epochs)
+            resumed[epochs] = trajectory.export(MLPClassifier(hidden_size=8, seed=3))
+        for epochs, model in resumed.items():
+            fresh = MLPClassifier(hidden_size=8, epochs=epochs, seed=3).fit(
+                features[:split], labels[:split], *validation
+            )
+            assert model.validation_f1_history_ == fresh.validation_f1_history_
+            expected_length = epochs if with_validation else 0
+            assert len(model.validation_f1_history_) == expected_length
+            for mine, theirs in zip(model._params, fresh._params):
+                assert np.array_equal(mine, theirs)
+        if with_validation:
+            # The curve moves, so a resume from the wrong state would show.
+            assert len(set(resumed[20].validation_f1_history_)) > 1
 
     def test_no_highway_layers(self, xor_data):
         features, labels = xor_data
