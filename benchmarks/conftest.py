@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 
 #: Scale of all benchmark runs: 1.0 = the CI-scale dataset sizes.
 BENCH_SIZE_FACTOR = 1.0
@@ -22,7 +22,7 @@ BENCH_SIZE_FACTOR = 1.0
 def runner() -> ExperimentRunner:
     cache_dir = Path(__file__).resolve().parent.parent / ".benchcache"
     return ExperimentRunner(
-        size_factor=BENCH_SIZE_FACTOR, seed=0, cache_dir=cache_dir
+        RunnerConfig(scale=BENCH_SIZE_FACTOR, seed=0, cache_dir=cache_dir)
     )
 
 

@@ -16,13 +16,13 @@ from repro.experiments.paper_comparison import (
     compare_all,
     render_comparison_markdown,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 
 
 def main() -> None:
     output = Path(sys.argv[1]) if len(sys.argv) > 1 else None
     runner = ExperimentRunner(
-        size_factor=1.0, seed=0, cache_dir=Path(".benchcache")
+        RunnerConfig(scale=1.0, seed=0, cache_dir=Path(".benchcache"))
     )
     print("Comparing against the paper (heavy on a cold cache) ...", file=sys.stderr)
     established, new = compare_all(runner)

@@ -14,14 +14,14 @@ import sys
 from pathlib import Path
 
 from repro.experiments import figures
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.experiments.svg import save_figure_svg
 
 
 def main() -> None:
     output = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("figures")
     runner = ExperimentRunner(
-        size_factor=1.0, seed=0, cache_dir=Path(".benchcache")
+        RunnerConfig(scale=1.0, seed=0, cache_dir=Path(".benchcache"))
     )
 
     plan = (

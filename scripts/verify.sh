@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Repository verification: byte-compile everything, run the tier-1 test
 # suite (ROADMAP.md), the fast fault-injection smoke set, then a
-# two-worker parallel regeneration of Table IV with metrics/trace
-# observability on a fresh cache, a supervision smoke (hang-injected
-# worker replaced by the watchdog, orphaned-lease repair by the doctor),
+# regeneration of Table IV with metrics/trace observability on a fresh
+# cache, a supervision smoke (orphaned-lease repair by the doctor),
 # a seeded chaos smoke campaign with a doctor audit of the surviving
 # cache, the kernel-parity suite, the repository benchmark's audit-cold
 # bit-identity gate, the overhead/speedup benches, and the
@@ -27,22 +26,14 @@ fi
 echo "== fault-injection smoke =="
 python -m pytest -x -q -m fault_smoke
 
-echo "== parallel scheduler + observability smoke (--workers 2 --metrics) =="
+echo "== observability smoke (table4 --metrics) =="
 SMOKE_CACHE="$(mktemp -d)"
-# --no-auto-degrade: this smoke verifies the real fork path even on
-# single-core CI boxes where auto-degrade would fall back to sequential.
-python -m repro table4 --workers 2 --no-auto-degrade --metrics --cache "$SMOKE_CACHE"
+python -m repro table4 --metrics --cache "$SMOKE_CACHE"
 python -m repro trace --last --cache "$SMOKE_CACHE"
 
-echo "== supervision smoke: watchdog hang-kill + lease repair =="
+echo "== supervision smoke: lease repair =="
 GUARD_CACHE="$(mktemp -d)"
-# A wedged worker must be killed by the watchdog and surfaced as a
-# WorkerHang failure record while the rest of the sweep completes (two
-# datasets: a single sweep unit would run inline and never fork).
-python -m repro table4 --datasets Ds5,Ds7 --scale 0.3 --workers 2 --no-auto-degrade \
-    --hang-deadline 5 --inject 'guard:hang=hang' \
-    --cache "$GUARD_CACHE" | tee /tmp/guard_smoke.out
-grep -q "WorkerHang" /tmp/guard_smoke.out
+python -m repro table4 --datasets Ds5 --scale 0.3 --cache "$GUARD_CACHE"
 # An orphaned lease (dead owner pid) must fail a doctor audit, be
 # repaired, and leave the directory clean.
 printf '{"pid": 4194305, "host": "ghost", "token": "dead", "acquired_at": 0, "heartbeat_at": 0}' \

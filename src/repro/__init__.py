@@ -23,7 +23,7 @@ The package implements the paper's full apparatus:
 * :mod:`repro.obs` — zero-dependency observability: trace spans, a
   metrics registry and profiling hooks, shared by every layer above;
 * :mod:`repro.runtime` — fault-tolerant execution (policies, cache
-  envelopes, checkpoint journal, process-pool scheduling);
+  envelopes, checkpoint journal, resource guard);
 * :mod:`repro.serve` — resident matching sessions: a fitted matcher plus
   an incremental ANN index answering queries online (``python -m repro
   serve``).

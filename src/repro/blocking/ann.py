@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,15 +61,6 @@ from repro.text.kernels import CodeTable, band_keys, minhash_signatures
 ANN_BACKENDS: tuple[str, ...] = ("lsh", "graph")
 
 _EMPTY_INDEX = np.empty(0, dtype=np.int64)
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """One DeprecationWarning per call site (the PR-3 ``render`` idiom)."""
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -424,12 +414,6 @@ class SmallWorldGraph:
         found = self._search(query, query_size, max(self.beam_width, k))
         return [(sim, node) for sim, node in found[:k] if sim > 0.0]
 
-    def query(
-        self, query: np.ndarray, query_size: int, k: int
-    ) -> list[int]:
-        """The nodes of :meth:`search`, without their scores."""
-        return [node for __, node in self.search(query, query_size, k)]
-
 
 class GraphIndex:
     """``search(record, k)`` ANN access over one growing record list.
@@ -526,15 +510,6 @@ class GraphIndex:
             scores=tuple(sim for sim, __ in scored),
             provenance=self.config.describe(),
         )
-
-    def query(self, record, k: int) -> list:
-        """Deprecated shim for :meth:`search`: bare record objects."""
-        _warn_deprecated("GraphIndex.query", "GraphIndex.search")
-        raw_row = self._store.rows([record], self._view)[0]
-        return [
-            self.records[position]
-            for __, position in self.search_row(raw_row, k)
-        ]
 
 
 class LshIndex:
@@ -663,20 +638,6 @@ class AnnBlocker:
 
     def __init__(self, config: AnnConfig | None = None) -> None:
         self.config = config if config is not None else AnnConfig()
-
-    def build_index(self, sources: SourcePair) -> GraphIndex:
-        """Deprecated shim: build the index with ``make_index`` instead."""
-        _warn_deprecated(
-            "AnnBlocker.build_index", "repro.blocking.make_index"
-        )
-        encoded = _EncodedSources(sources, self.config.q)
-        return GraphIndex(
-            encoded.right_records,
-            encoded.right_rows,
-            self.config,
-            store=encoded.store,
-            view=encoded.view,
-        )
 
     def _lsh_scored(
         self, encoded: _EncodedSources

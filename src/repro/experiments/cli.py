@@ -20,11 +20,7 @@ runs resume from the cache directory's checkpoint journal, and
 ``--inject SITE=KIND[:TIMES]`` arms deterministic faults (see
 :mod:`repro.runtime.faults`) to rehearse the degradation paths. Any unit
 that failed is listed after the output instead of aborting the run.
-
-``--workers N`` fans the per-dataset sweeps (and single-dataset matcher
-rosters) across N ``fork`` worker processes via
-:mod:`repro.runtime.parallel`; results are identical to the sequential
-run and a per-worker timing table is printed after the output.
+Every unit runs in this process, one after another.
 
 Self-healing state: ``repro doctor`` audits and repairs a cache
 directory (torn journal tails, corrupt envelopes, quarantine retention,
@@ -168,14 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-unit wall-clock deadline (default: none)",
     )
     parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="fan sweeps across N worker processes (default 1: sequential, "
-        "results are identical either way)",
-    )
-    parser.add_argument(
         "--inject",
         action="append",
         default=[],
@@ -249,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="MIB",
         help="degrade gracefully (smaller kernel batches, merge backend, "
         "feature cache off) when RSS passes this budget, then shed units "
-        "as BudgetExceeded; with --workers also caps each worker's RSS",
+        "as BudgetExceeded",
     )
     parser.add_argument(
         "--disk-reserve",
@@ -264,14 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="learn per-phase deadlines from healthy durations "
         "(p99 x margin) instead of the fixed --timeout",
-    )
-    parser.add_argument(
-        "--hang-deadline",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="fallback worker deadline until the adaptive model has "
-        "samples; arms the heartbeat watchdog on pooled runs",
     )
     parser.add_argument(
         "--blocker",
@@ -377,12 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "ceiling; results are bit-identical for every choice "
         "(default 10000)",
     )
-    parser.add_argument(
-        "--no-auto-degrade",
-        action="store_true",
-        help="keep --workers N even on single-core machines (default: "
-        "degrade to the sequential loop when forking cannot win)",
-    )
     return parser
 
 
@@ -426,11 +400,6 @@ def _print_failures(runner: ExperimentRunner) -> None:
     if report:
         print()
         print(report)
-    if runner.workers > 1:
-        timing = render(runner.worker_reports())
-        if timing:
-            print()
-            print(timing)
 
 
 def _print_observability(runner: ExperimentRunner, args) -> None:
@@ -751,13 +720,10 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             cache_dir=cache_dir,
             policy=policy,
-            workers=args.workers,
             breaker_threshold=args.breaker_threshold,
             memory_budget_mb=args.memory_budget,
             disk_reserve_mb=args.disk_reserve,
             adaptive_deadlines=args.adaptive_deadlines,
-            hang_deadline_seconds=args.hang_deadline,
-            auto_degrade_workers=not args.no_auto_degrade,
         )
     )
     if args.profile:

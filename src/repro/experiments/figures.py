@@ -51,8 +51,6 @@ def _practical_series(
     runner: ExperimentRunner, dataset_ids: tuple[str, ...]
 ) -> FigureSeries:
     figure: FigureSeries = {}
-    if getattr(runner, "workers", 1) > 1:
-        runner.sweep_all(dataset_ids)
     for dataset_id in dataset_ids:
         practical = runner.practical(dataset_id)
         label = NEW_BENCHMARK_LABELS.get(dataset_id, dataset_id)

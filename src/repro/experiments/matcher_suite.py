@@ -45,15 +45,9 @@ from repro.matchers.features import MagellanFeatureExtractor
 from repro.matchers.magellan import MAGELLAN_HEADS, MagellanMatcher
 from repro.matchers.zeroer import ZeroERMatcher
 from repro import obs
-from repro.runtime import (
-    BreakerRegistry,
-    ExecutionOutcome,
-    ExecutionPolicy,
-    FailureRecord,
-)
+from repro.runtime import BreakerRegistry, ExecutionPolicy, FailureRecord
 from repro.runtime import faults
 from repro.runtime.guard import AdaptiveDeadlineModel, ResourceGuard
-from repro.runtime.parallel import ParallelScheduler, WorkUnit
 from repro.runtime.registry import (  # re-exported for back-compat
     clear_recorded_failures,
     record_failure,
@@ -150,77 +144,21 @@ def build_matcher(task: MatchingTask, matcher_spec: str, seed: int = 0) -> Match
     raise KeyError(f"unknown matcher spec {matcher_spec!r}")
 
 
-def _evaluate_matcher(matcher: Matcher, task: MatchingTask) -> MatcherResult:
-    """Fire the matcher's fault site, then evaluate (policy-wrapped unit).
-
-    Shared by the sequential and the pooled path, so every matcher
-    evaluation opens exactly one ``matcher`` trace span regardless of the
-    worker count (the span of a pooled unit marshals back to the parent).
-    """
-    with obs.span("matcher", matcher=matcher.name, dataset=task.name):
-        faults.fire(f"matcher:{matcher.name}")
-        return matcher.evaluate(task)
-
-
-def _evaluate_guarded(
+def _evaluate_matcher(
     matcher: Matcher,
     task: MatchingTask,
     guard: ResourceGuard | None,
     unit_id: str,
 ) -> MatcherResult:
-    """Sequential unit body: budget checkpoint, then the matcher."""
+    """One policy-wrapped unit: budget checkpoint, fault site, evaluation.
+
+    Every matcher evaluation opens exactly one ``matcher`` trace span.
+    """
     if guard is not None:
         guard.checkpoint(unit_id)
-    return _evaluate_matcher(matcher, task)
-
-
-def _evaluate_matcher_spec(
-    task: MatchingTask, matcher_spec: str, seed: int
-) -> MatcherResult:
-    """Worker-side unit: rebuild one matcher from its spec and evaluate.
-
-    Top-level so a process-pool scheduler can pickle it; the sequential
-    path uses pre-built matcher instances instead (shared Magellan
-    feature extractor), which produces identical scores.
-    """
-    return _evaluate_matcher(build_matcher(task, matcher_spec, seed), task)
-
-
-def _with_breakers(
-    policy: ExecutionPolicy, breakers: BreakerRegistry | None
-) -> ExecutionPolicy:
-    """Attach *breakers* to *policy* unless it already carries a registry."""
-    if breakers is None or policy.breakers is not None:
-        return policy
-    return dataclass_replace(policy, breakers=breakers)
-
-
-def run_one_matcher(
-    task: MatchingTask,
-    matcher_spec: str,
-    seed: int = 0,
-    policy: ExecutionPolicy | None = None,
-    breakers: BreakerRegistry | None = None,
-) -> ExecutionOutcome:
-    """Evaluate one matcher of the roster under *policy*, as an outcome.
-
-    The per-matcher unit of work behind both the sequential sweep and the
-    parallel scheduler: picklable, seeded only by ``(seed, unit_id)``, and
-    never raising — failures come back as :class:`FailureRecord` data.
-    With *breakers*, the unit's circuit breaker (keyed by
-    ``"<task>/<matcher>"``) is consulted first: an open breaker
-    short-circuits to a ``CircuitOpen`` failure without evaluating.
-    """
-    if policy is None:
-        policy = ExecutionPolicy(
-            max_attempts=1, backoff_base=0.0, retry_on=MATCHER_ERRORS
-        )
-    policy = _with_breakers(policy, breakers)
-    return policy.execute(
-        partial(_evaluate_matcher_spec, task, matcher_spec, seed),
-        unit_id=f"{task.name}/{matcher_spec}",
-        phase="matcher",
-    )
+    with obs.span("matcher", matcher=matcher.name, dataset=task.name):
+        faults.fire(f"matcher:{matcher.name}")
+        return matcher.evaluate(task)
 
 
 def evaluate_suite(
@@ -228,7 +166,6 @@ def evaluate_suite(
     seed: int = 0,
     policy: ExecutionPolicy | None = None,
     failures: list[FailureRecord] | None = None,
-    scheduler: ParallelScheduler | None = None,
     breakers: BreakerRegistry | None = None,
     guard: "ResourceGuard | None" = None,
     deadlines: "AdaptiveDeadlineModel | None" = None,
@@ -244,19 +181,13 @@ def evaluate_suite(
     appended to *failures* (or, when no caller list is given, to the
     process-wide registry behind :func:`recorded_failures`).
 
-    With a *scheduler* of ``workers > 1`` the per-matcher units fan out
-    across processes; results are merged in roster order and each unit
-    still runs under *policy* inside its worker, so scores and failure
-    records are identical to the sequential path.
-
     *breakers* (or a registry already on *policy*) arms per-unit circuit
     breakers: a ``(dataset, matcher)`` unit that has failed K consecutive
     times short-circuits to its degraded placeholder with a
-    ``CircuitOpen`` failure record instead of burning retries. Breaker
-    state is per-process; pooled workers each keep their own counts.
+    ``CircuitOpen`` failure record instead of burning retries.
 
     *guard* (a :class:`repro.runtime.guard.ResourceGuard`) runs a budget
-    checkpoint before each sequential matcher: a shed unit becomes a
+    checkpoint before each matcher: a shed unit becomes a
     ``BudgetExceeded`` failure record, not a crash. *deadlines* (an
     :class:`~repro.runtime.guard.AdaptiveDeadlineModel`) replaces the
     policy's fixed ``deadline_seconds`` for the ``matcher`` phase once it
@@ -266,48 +197,26 @@ def evaluate_suite(
         policy = ExecutionPolicy(
             max_attempts=1, backoff_base=0.0, retry_on=MATCHER_ERRORS
         )
-    policy = _with_breakers(policy, breakers)
-
-    matchers = build_suite(task, seed=seed)
-    if scheduler is not None and scheduler.workers > 1:
-        units = [
-            WorkUnit(
-                unit_id=f"{task.name}/{matcher.name}",
-                fn=_evaluate_matcher_spec,
-                args=(task, matcher.name, seed),
-                phase="matcher",
-            )
-            for matcher in matchers
-        ]
-        outcomes = scheduler.run(units, policy=policy).outcomes
-    else:
-        unit_policy = policy
-        if deadlines is not None:
-            adaptive = deadlines.learned_deadline_for("matcher")
-            if adaptive is not None:
-                unit_policy = dataclass_replace(
-                    policy, deadline_seconds=adaptive
-                )
-        outcome_list = []
-        for matcher in matchers:
-            unit_id = f"{task.name}/{matcher.name}"
-            outcome = unit_policy.execute(
-                partial(
-                    _evaluate_guarded, matcher, task, guard, unit_id
-                ),
-                unit_id=unit_id,
-                phase="matcher",
-            )
-            if outcome.ok and deadlines is not None:
-                deadlines.observe(
-                    "matcher", outcome.value.fit_seconds
-                    + outcome.value.predict_seconds,
-                )
-            outcome_list.append(outcome)
-        outcomes = tuple(outcome_list)
+    if breakers is not None and policy.breakers is None:
+        policy = dataclass_replace(policy, breakers=breakers)
+    if deadlines is not None:
+        adaptive = deadlines.learned_deadline_for("matcher")
+        if adaptive is not None:
+            policy = dataclass_replace(policy, deadline_seconds=adaptive)
 
     results: dict[str, MatcherResult] = {}
-    for matcher, outcome in zip(matchers, outcomes):
+    for matcher in build_suite(task, seed=seed):
+        unit_id = f"{task.name}/{matcher.name}"
+        outcome = policy.execute(
+            partial(_evaluate_matcher, matcher, task, guard, unit_id),
+            unit_id=unit_id,
+            phase="matcher",
+        )
+        if outcome.ok and deadlines is not None:
+            deadlines.observe(
+                "matcher", outcome.value.fit_seconds
+                + outcome.value.predict_seconds,
+            )
         if outcome.ok:
             results[matcher.name] = outcome.value
         else:

@@ -1,22 +1,19 @@
 """Plain-text rendering of every reportable artefact, behind one entry point.
 
 :func:`render` dispatches on the artefact's shape — ``(headers, rows)``
-tables, figure series, failure/worker-report sequences, metrics snapshots
+tables, figure series, failure sequences, metrics snapshots
 (:func:`repro.obs.metrics.is_metrics_snapshot`) and trace span sequences —
-so the CLI and the snapshot path share a single formatting surface. The
-historical per-type functions (``render_table`` & co.) remain as thin
-deprecated aliases.
+so the CLI and the snapshot path share a single formatting surface.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Mapping, Sequence
 
 from repro.experiments.figures import FigureSeries
 from repro.obs.metrics import is_metrics_snapshot
 from repro.obs.spans import Span
-from repro.runtime import FailureRecord, WorkerReport
+from repro.runtime import FailureRecord
 
 
 def render(artifact: object, *, title: str | None = None) -> str:
@@ -29,7 +26,6 @@ def render(artifact: object, *, title: str | None = None) -> str:
       ``counters``/``gauges``/``timers`` keys) — a metrics table;
     * any other mapping — a :data:`FigureSeries` (label -> series);
     * a sequence of :class:`FailureRecord` — the degraded-units table;
-    * a sequence of :class:`WorkerReport` — the per-worker timing table;
     * a sequence of :class:`~repro.obs.spans.Span` — an indented trace
       tree;
     * an empty sequence — ``""`` (so callers can print unconditionally).
@@ -47,14 +43,12 @@ def render(artifact: object, *, title: str | None = None) -> str:
         first = artifact[0]
         if isinstance(first, FailureRecord):
             return _failures(artifact, title=title or "Degraded units")
-        if isinstance(first, WorkerReport):
-            return _workers(artifact, title=title or "Per-worker timing")
         if isinstance(first, Span):
             return _trace(artifact, title=title or "Trace")
     raise TypeError(
         f"render() cannot dispatch on {type(artifact).__name__}; expected a "
         "(headers, rows) tuple, a figure/metrics mapping, or a sequence of "
-        "FailureRecord / WorkerReport / Span"
+        "FailureRecord / Span"
     )
 
 
@@ -103,25 +97,6 @@ def _failures(
             f"{failure.elapsed_seconds:.2f}s",
         ]
         for failure in failures
-    ]
-    return _table(headers, rows, title=title)
-
-
-def _workers(
-    reports: Sequence[WorkerReport], title: str | None = "Per-worker timing"
-) -> str:
-    """The scheduler's per-worker utilisation as an aligned table."""
-    if not reports:
-        return ""
-    headers = ["worker", "pid", "units", "busy"]
-    rows = [
-        [
-            f"w{index}",
-            str(report.worker_pid),
-            str(report.units),
-            f"{report.busy_seconds:.2f}s",
-        ]
-        for index, report in enumerate(reports)
     ]
     return _table(headers, rows, title=title)
 
@@ -204,44 +179,3 @@ def _trace(spans: Sequence[Span], title: str | None = "Trace") -> str:
     for root in children.get(None, ()):
         walk(root, 0)
     return "\n".join(lines)
-
-
-# -- deprecated aliases ----------------------------------------------------
-
-
-def _deprecated(old_name: str) -> None:
-    warnings.warn(
-        f"{old_name}() is deprecated; use repro.experiments.report.render()",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def render_table(
-    headers: list[str], rows: list[list[str]], title: str | None = None
-) -> str:
-    """Deprecated alias of ``render((headers, rows), title=...)``."""
-    _deprecated("render_table")
-    return _table(headers, rows, title=title)
-
-
-def render_failures(
-    failures: Sequence[FailureRecord], title: str = "Degraded units"
-) -> str:
-    """Deprecated alias of ``render(failures, title=...)``."""
-    _deprecated("render_failures")
-    return _failures(failures, title=title)
-
-
-def render_worker_report(
-    reports: Sequence[WorkerReport], title: str = "Per-worker timing"
-) -> str:
-    """Deprecated alias of ``render(reports, title=...)``."""
-    _deprecated("render_worker_report")
-    return _workers(reports, title=title)
-
-
-def render_figure(figure: FigureSeries, title: str | None = None) -> str:
-    """Deprecated alias of ``render(figure, title=...)``."""
-    _deprecated("render_figure")
-    return _figure(figure, title=title)

@@ -21,19 +21,12 @@ recomputing. Expensive units run under an :class:`ExecutionPolicy`
 (retries, backoff, deadlines) and failures surface as
 :class:`FailureRecord` data through :meth:`ExperimentRunner.failure_records`.
 
-With ``workers > 1`` (or an injected :class:`ParallelScheduler`) the
-per-dataset sweeps of a full regeneration — and the per-matcher units of
-a single sweep — fan out across ``fork`` worker processes with results
-identical to the sequential run (same seeds, deterministic merge order);
-see :meth:`ExperimentRunner.sweep_all`.
+Every unit runs in this process, one after another.
 
-The runner is configured by a frozen :class:`RunnerConfig` (legacy
-positional arguments still work behind a deprecation shim) and is wired
+The runner is configured by one frozen :class:`RunnerConfig` and is wired
 into :mod:`repro.obs`: every sweep/assessment opens a trace span, cache
 and journal events increment metrics, and — when a cache directory is
-set — closed spans append to ``<cache_dir>/trace.jsonl``. Worker spans
-and metric deltas marshal back to the parent, so traces and counters are
-identical for any worker count (DESIGN.md §8).
+set — closed spans append to ``<cache_dir>/trace.jsonl`` (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ import logging
 import math
 import os
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -74,9 +66,6 @@ from repro.runtime import (
     CheckpointJournal,
     ExecutionPolicy,
     FailureRecord,
-    ParallelScheduler,
-    WorkUnit,
-    WorkerReport,
     faults,
     read_cached_payload,
     write_envelope,
@@ -86,7 +75,6 @@ from repro.runtime.guard import (
     LeaseHeld,
     ResourceGuard,
     RunLease,
-    Watchdog,
 )
 from repro.text.feature_store import FeatureMatrixCache, feature_cache_scope
 
@@ -100,18 +88,14 @@ JOURNAL_NAME = "checkpoint.journal"
 class RunnerConfig:
     """The complete configuration of an :class:`ExperimentRunner`.
 
-    A frozen keyword-only dataclass replacing the runner's historically
-    growing positional argument list — one value object to validate, log,
+    A frozen keyword-only dataclass — one value object to validate, log,
     and pass around:
 
-    * ``scale`` — dataset size factor (the legacy ``size_factor``);
+    * ``scale`` — dataset size factor (``ExperimentRunner.size_factor``);
     * ``seed`` — the global experiment seed;
     * ``cache_dir`` — on-disk envelope cache + checkpoint journal + trace
       file location (``None`` disables persistence);
     * ``policy`` — the :class:`ExecutionPolicy` for every expensive unit;
-    * ``workers`` — fan heavy units across this many ``fork`` processes;
-    * ``scheduler`` — an injected :class:`ParallelScheduler` (overrides
-      ``workers``);
     * ``obs`` — the :class:`~repro.obs.Observability` instance the runner
       reports spans/metrics to; defaults to the process-wide active one
       (:func:`repro.obs.active`);
@@ -121,25 +105,17 @@ class RunnerConfig:
       retry budget (``None`` disables; ignored when the policy already
       carries a registry);
     * ``feature_cache`` — persist content-addressed feature matrices
-      under ``<cache_dir>/features`` so repeated sweeps (and the fork
-      workers of a parallel run) skip extraction; a no-op without
-      ``cache_dir``.
+      under ``<cache_dir>/features`` so repeated sweeps skip extraction;
+      a no-op without ``cache_dir``.
 
     Resource supervision (see :mod:`repro.runtime.guard`):
 
     * ``memory_budget_mb`` / ``disk_reserve_mb`` — arm the
       :class:`ResourceGuard`: past the budget the runner degrades
       gracefully (smaller kernel batches, merge backend, feature cache
-      off) before shedding units as ``BudgetExceeded`` failures; with
-      workers, the budget also caps each worker's RSS via the watchdog;
+      off) before shedding units as ``BudgetExceeded`` failures;
     * ``adaptive_deadlines`` — learn per-phase deadlines from healthy
       durations (p99 × margin) instead of one fixed ``--timeout``;
-    * ``hang_deadline_seconds`` — the watchdog's fallback worker deadline
-      until the adaptive model has samples; enabling either of these arms
-      the heartbeat watchdog on pooled runs (hung workers are killed,
-      replaced, and recorded as ``WorkerHang``);
-    * ``auto_degrade_workers`` — run ``workers > 1`` sequentially when
-      forking cannot pay (single core, pathological fork overhead);
     * ``lease`` (default on) / ``lease_timeout_seconds`` /
       ``lease_stale_seconds`` — guard the cache directory with a
       :class:`RunLease` so concurrent runs never interleave journal or
@@ -151,27 +127,31 @@ class RunnerConfig:
     seed: int = 0
     cache_dir: Path | str | None = None
     policy: ExecutionPolicy | None = None
-    workers: int = 1
-    scheduler: ParallelScheduler | None = None
     obs: Observability | None = None
     breaker_threshold: int | None = None
     feature_cache: bool = True
     memory_budget_mb: float | None = None
     disk_reserve_mb: float | None = None
     adaptive_deadlines: bool = False
-    hang_deadline_seconds: float | None = None
-    auto_degrade_workers: bool = False
     lease: bool = True
     lease_timeout_seconds: float = 60.0
     lease_stale_seconds: float = 30.0
+    # Left from the removed process pool because perfbench/audit.py passes
+    # them: ``workers`` must be 1 and ``auto_degrade_workers`` is ignored.
+    workers: int = 1
+    auto_degrade_workers: bool = False
 
     def __post_init__(self) -> None:
         if self.breaker_threshold is not None and self.breaker_threshold < 1:
             raise ValueError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
             )
-        for name in ("memory_budget_mb", "disk_reserve_mb",
-                     "hang_deadline_seconds"):
+        if self.workers != 1:
+            raise ValueError(
+                f"workers must be 1, got {self.workers}: the process pool "
+                "was removed and every unit runs sequentially"
+            )
+        for name in ("memory_budget_mb", "disk_reserve_mb"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
@@ -199,81 +179,6 @@ class RunnerConfig:
             )
 
 
-#: Legacy positional order of ``ExperimentRunner.__init__`` (pre-config).
-_LEGACY_POSITIONAL = (
-    "size_factor", "seed", "cache_dir", "policy", "workers", "scheduler",
-)
-
-#: Keyword arguments the deprecation shim accepts (config fields plus the
-#: legacy ``size_factor`` spelling of ``scale``).
-_SHIM_KEYWORDS = frozenset(
-    ("scale", "seed", "cache_dir", "policy", "workers", "scheduler", "obs",
-     "breaker_threshold", "feature_cache", "size_factor",
-     "memory_budget_mb", "disk_reserve_mb", "adaptive_deadlines",
-     "hang_deadline_seconds", "auto_degrade_workers", "lease",
-     "lease_timeout_seconds", "lease_stale_seconds")
-)
-
-
-def _resolve_config(
-    args: tuple, config: RunnerConfig | None, kwargs: dict
-) -> RunnerConfig:
-    """Map every supported ``ExperimentRunner(...)`` form to one config.
-
-    Supported forms: ``ExperimentRunner(RunnerConfig(...))`` and
-    ``ExperimentRunner(config=...)`` (canonical), bare keyword arguments
-    (``size_factor=``/``scale=`` etc., mapped silently), and the legacy
-    positional form, which still works but emits a
-    :class:`DeprecationWarning`.
-    """
-    if args and isinstance(args[0], RunnerConfig):
-        if config is not None or len(args) > 1 or kwargs:
-            raise TypeError(
-                "a positional RunnerConfig cannot be combined with other "
-                "ExperimentRunner arguments"
-            )
-        return args[0]
-    if config is not None:
-        if args or kwargs:
-            raise TypeError(
-                "config= cannot be combined with other ExperimentRunner "
-                "arguments"
-            )
-        return config
-    legacy = dict(kwargs)
-    if args:
-        if len(args) > len(_LEGACY_POSITIONAL):
-            raise TypeError(
-                f"ExperimentRunner takes at most {len(_LEGACY_POSITIONAL)} "
-                f"positional arguments ({len(args)} given)"
-            )
-        warnings.warn(
-            "positional ExperimentRunner(...) arguments are deprecated; "
-            "pass a RunnerConfig (ExperimentRunner(RunnerConfig(scale=...)))"
-            " or keyword arguments instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        for name, value in zip(_LEGACY_POSITIONAL, args):
-            if name in legacy:
-                raise TypeError(
-                    f"ExperimentRunner got multiple values for {name!r}"
-                )
-            legacy[name] = value
-    unknown = set(legacy) - _SHIM_KEYWORDS
-    if unknown:
-        raise TypeError(
-            f"unknown ExperimentRunner argument(s): {sorted(unknown)}"
-        )
-    if "size_factor" in legacy:
-        if "scale" in legacy:
-            raise TypeError(
-                "pass either scale= or the legacy size_factor=, not both"
-            )
-        legacy["scale"] = legacy.pop("size_factor")
-    return RunnerConfig(**legacy)
-
-
 class ExperimentRunner:
     """Cached orchestration of all experiments at one scale.
 
@@ -282,21 +187,15 @@ class ExperimentRunner:
     so behaviour matches the pre-runtime runner unless a caller opts into
     retries/timeouts. All failures the runner absorbed while degrading
     gracefully are available via :meth:`failure_records`.
-
-    *workers* (or an injected *scheduler*) parallelizes the heavy units:
-    :meth:`sweep_all` fans per-dataset sweeps — and :meth:`matcher_results`
-    the per-matcher units of a single sweep — across a ``fork`` process
-    pool, with results identical to ``workers=1`` and per-worker timing
-    available via :meth:`worker_reports`.
     """
 
-    def __init__(
-        self,
-        *args: object,
-        config: RunnerConfig | None = None,
-        **kwargs: object,
-    ) -> None:
-        self.config = _resolve_config(args, config, kwargs)
+    def __init__(self, config: RunnerConfig) -> None:
+        if not isinstance(config, RunnerConfig):
+            raise TypeError(
+                f"ExperimentRunner takes a RunnerConfig, got "
+                f"{type(config).__name__}"
+            )
+        self.config = config
         self.size_factor = self.config.scale
         self.seed = self.config.seed
         cache_dir = self.config.cache_dir
@@ -317,39 +216,10 @@ class ExperimentRunner:
                     failure_threshold=self.config.breaker_threshold
                 ),
             )
-        # Adaptive deadlines: learned per-phase (p99 x margin); the
-        # --hang-deadline fallback only ever governs the watchdog, never
-        # healthy in-process units (see learned_deadline_for).
-        self.deadlines: AdaptiveDeadlineModel | None = None
-        if (
-            self.config.adaptive_deadlines
-            or self.config.hang_deadline_seconds is not None
-        ):
-            self.deadlines = AdaptiveDeadlineModel(
-                fallback_seconds=self.config.hang_deadline_seconds
-            )
-        watchdog: Watchdog | None = None
-        if self.config.scheduler is None and self.config.workers > 1 and (
-            self.deadlines is not None
-            or self.config.memory_budget_mb is not None
-        ):
-            watchdog = Watchdog(
-                deadlines=self.deadlines,
-                rss_budget_mb=self.config.memory_budget_mb,
-            )
-        # Scheduler injection: an explicit scheduler wins; otherwise one is
-        # built from `workers` (1 = run inline, the exact sequential path).
-        self.scheduler = (
-            self.config.scheduler
-            if self.config.scheduler is not None
-            else ParallelScheduler(
-                workers=self.config.workers,
-                policy=self.policy,
-                watchdog=watchdog,
-                auto_degrade=self.config.auto_degrade_workers,
-            )
+        # Adaptive deadlines: learned per-phase (p99 x margin).
+        self.deadlines: AdaptiveDeadlineModel | None = (
+            AdaptiveDeadlineModel() if self.config.adaptive_deadlines else None
         )
-        self.workers = self.scheduler.workers
         self.obs = (
             self.config.obs
             if self.config.obs is not None
@@ -369,9 +239,8 @@ class ExperimentRunner:
         )
         # Content-addressed feature matrices live next to the sweep
         # envelopes; the cache is activated *scoped* around each heavy
-        # unit (never installed globally at construction), so nested
-        # runners in fork workers keep the inherited cache and tests
-        # never leak one into each other.
+        # unit (never installed globally at construction), so tests never
+        # leak one into each other.
         self.feature_cache: FeatureMatrixCache | None = (
             FeatureMatrixCache(self.cache_dir / "features")
             if self.cache_dir is not None and self.config.feature_cache
@@ -504,16 +373,10 @@ class ExperimentRunner:
             )
         )
 
-    def worker_reports(self) -> list[WorkerReport]:
-        """Per-worker utilisation of every scheduled unit so far."""
-        return self.scheduler.worker_reports()
-
     def _feature_scope(self):
         """Activate the runner's feature cache for one unit of work.
 
-        Workers forked inside the scope inherit the active cache; with no
-        cache configured the ambient state is left untouched (a nested
-        runner inside a fork worker must not clear what it inherited).
+        With no cache configured the ambient state is left untouched.
         """
         if self.feature_cache is None:
             return nullcontext()
@@ -629,12 +492,10 @@ class ExperimentRunner:
 
         Resolution order: in-memory memo, then the checkpoint journal and
         on-disk envelope cache (corrupt entries quarantined and
-        recomputed), then a fresh sweep under the runner's policy — with
-        the per-matcher units fanned across the scheduler's workers when
-        ``workers > 1``. If the *whole* sweep fails — e.g. the dataset
-        cannot be generated — the failure is recorded and an empty result
-        set is returned so dependent tables render hyphens instead of
-        crashing.
+        recomputed), then a fresh sweep under the runner's policy. If the
+        *whole* sweep fails — e.g. the dataset cannot be generated — the
+        failure is recorded and an empty result set is returned so
+        dependent tables render hyphens instead of crashing.
         """
         if dataset_id in self._matcher_results:
             return self._matcher_results[dataset_id]
@@ -673,9 +534,6 @@ class ExperimentRunner:
                             seed=self.seed,
                             policy=self.policy,
                             failures=self._failures,
-                            scheduler=(
-                                self.scheduler if self.workers > 1 else None
-                            ),
                             guard=self.guard,
                             deadlines=self.deadlines,
                         )
@@ -719,97 +577,13 @@ class ExperimentRunner:
     def sweep_all(
         self, dataset_ids: tuple[str, ...] | None = None
     ) -> dict[str, dict[str, MatcherResult]]:
-        """Matcher sweeps for many datasets, fanned across the workers.
+        """Matcher sweeps for many datasets (all established by default).
 
-        The parallel analogue of calling :meth:`matcher_results` in a
-        loop, with identical results (same seeds; merge order is the
-        *dataset_ids* order). The work queue consults the in-memory memo,
-        the checkpoint journal and the envelope cache, so completed units
-        are loaded in the parent and never dispatched — this is what makes
-        kill/resume real under ``--workers N``. With ``workers=1`` it *is*
-        the sequential loop.
+        :meth:`matcher_results` in a loop, in *dataset_ids* order: cached
+        and journalled units are loaded, the rest are computed.
         """
         ids = tuple(dataset_ids) if dataset_ids is not None else ESTABLISHED_DATASET_IDS
-        if self.workers <= 1:
-            return {d: self.matcher_results(d) for d in ids}
-
-        pending: list[str] = []
-        for dataset_id in ids:
-            if dataset_id in self._matcher_results:
-                continue
-            cached = self._load_cached_sweep(dataset_id, f"sweep:{dataset_id}")
-            if cached is not None:
-                self._matcher_results[dataset_id] = cached
-            else:
-                pending.append(dataset_id)
-
-        if pending:
-            # The whole pending batch computes and persists under one
-            # lease hold; after a contended acquire, re-filter — the
-            # previous holder may have finished some (or all) of it.
-            waited = self._acquire_lease("sweep_all")
-            if waited is None:
-                for dataset_id in pending:
-                    self._matcher_results[dataset_id] = {}
-                return {d: self._matcher_results[d] for d in ids}
-            try:
-                if waited > 0:
-                    still_pending = []
-                    for dataset_id in pending:
-                        cached = self._load_cached_sweep(
-                            dataset_id, f"sweep:{dataset_id}"
-                        )
-                        if cached is not None:
-                            self._matcher_results[dataset_id] = cached
-                        else:
-                            still_pending.append(dataset_id)
-                    pending = still_pending
-                if pending:
-                    self._run_pending_sweeps(pending)
-            finally:
-                self._release_lease()
-
-        return {d: self._matcher_results[d] for d in ids}
-
-    def _run_pending_sweeps(self, pending: list[str]) -> None:
-        """Fan the uncached sweeps across the pool (lease already held)."""
-        units = [
-            WorkUnit(
-                unit_id=f"sweep:{dataset_id}",
-                fn=_sweep_job,
-                args=(dataset_id, self.size_factor, self.seed, self.policy),
-                phase="sweep",
-            )
-            for dataset_id in pending
-        ]
-
-        def persist(index: int, outcome) -> None:
-            # Runs in the parent as each sweep finishes (completion
-            # order), so a kill mid-batch loses only in-flight units —
-            # completed ones resume from envelope + journal.
-            if not outcome.ok:
-                return
-            dataset_id = pending[index]
-            results, _ = outcome.value
-            self._persist_sweep(dataset_id, f"sweep:{dataset_id}", results)
-
-        sweep_policy = replace(self.policy, deadline_seconds=None)
-        with self._feature_scope():
-            # Workers fork inside the scope, inheriting the cache.
-            schedule = self.scheduler.run(
-                units, policy=sweep_policy, on_result=persist
-            )
-        # Failure accounting and memoization stay in submission order
-        # so the record list is deterministic for any worker count.
-        for dataset_id, outcome in zip(pending, schedule.outcomes):
-            if outcome.ok:
-                results, failures = outcome.value
-                self._failures.extend(failures)
-            else:
-                assert outcome.failure is not None
-                self._failures.append(outcome.failure)
-                results = {}
-            self._matcher_results[dataset_id] = results
+        return {d: self.matcher_results(d) for d in ids}
 
     def practical(self, dataset_id: str) -> PracticalMeasures:
         """NLB and LBM for one dataset (Figure 3 / 6 bars).
@@ -1007,41 +781,6 @@ def check_cache_dir_writable(cache_dir: Path | str) -> str | None:
     return None
 
 
-def _sweep_job(
-    dataset_id: str,
-    size_factor: float,
-    seed: int,
-    policy: ExecutionPolicy,
-) -> tuple[dict[str, MatcherResult], list[FailureRecord]]:
-    """Worker-side unit of :meth:`ExperimentRunner.sweep_all`.
-
-    Top-level (picklable). Resolves the task and runs the roster
-    sequentially inside the worker — no nested pools — with every matcher
-    under *policy*, and returns ``(results, failures)`` so degraded
-    placeholders and their :class:`FailureRecord`\\ s marshal back to the
-    parent. Cache and journal writes stay in the parent, keeping the
-    journal single-writer.
-    """
-    # Mirror of the sequential sweep closure so the span set (and the
-    # sweep.seconds timer) is identical for any worker count.
-    with obs_module.span("sweep", dataset=dataset_id) as span:
-        with obs_module.timed("sweep.seconds"):
-            faults.fire(f"sweep:{dataset_id}")
-            resolver = ExperimentRunner(
-                size_factor=size_factor, seed=seed, cache_dir=None, policy=policy
-            )
-            failures: list[FailureRecord] = []
-            results = evaluate_suite(
-                resolver.task_for(dataset_id),
-                seed=seed,
-                policy=policy,
-                failures=failures,
-            )
-        if any(result.degraded for result in results.values()):
-            span.mark_degraded()
-        return results, failures
-
-
 _default_runner: ExperimentRunner | None = None
 
 
@@ -1049,7 +788,7 @@ def default_runner() -> ExperimentRunner:
     """The process-wide runner at CI scale (created on first use)."""
     global _default_runner
     if _default_runner is None:
-        _default_runner = ExperimentRunner(size_factor=1.0, seed=0)
+        _default_runner = ExperimentRunner(RunnerConfig(scale=1.0, seed=0))
     return _default_runner
 
 

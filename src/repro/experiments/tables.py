@@ -1,7 +1,7 @@
 """Builders for Tables III, IV, V, VI and VII.
 
 Each builder returns (headers, rows) where rows are lists of strings, ready
-for :func:`repro.experiments.report.render_table`. Data comes exclusively
+for :func:`repro.experiments.report.render`. Data comes exclusively
 from an :class:`ExperimentRunner`, so the expensive sweeps are shared with
 the figure builders.
 """
@@ -81,10 +81,6 @@ def _f1_table(runner: ExperimentRunner, dataset_ids: tuple[str, ...]) -> Table:
         for dataset_id in dataset_ids
     ]
     headers = ["matcher", "family", *labels]
-    # Parallel runners fan the per-dataset sweeps out in one batch; the
-    # sequential path is untouched (sweep_all then degenerates to a loop).
-    if getattr(runner, "workers", 1) > 1:
-        runner.sweep_all(dataset_ids)
     all_results = {
         dataset_id: runner.matcher_results(dataset_id)
         for dataset_id in dataset_ids
@@ -227,8 +223,6 @@ def verdict_table(
         "dataset", "linearity", "complexity", "NLB", "LBM",
         "easy:lin", "easy:cmplx", "easy:pract", "verdict",
     ]
-    if getattr(runner, "workers", 1) > 1:
-        runner.sweep_all(dataset_ids)
     rows = []
     for dataset_id in dataset_ids:
         assessment = runner.assessment(dataset_id, with_practical=True)

@@ -23,10 +23,6 @@ module-level helpers —
 
 — and everything lands in the active instance. Tests and embedders swap
 in their own via :func:`activate` (restore the previous one afterwards).
-Fork workers of :mod:`repro.runtime.parallel` capture their spans and
-metric deltas and marshal them back to the parent collector, so a
-``--workers N`` run produces the same span set and counter values as a
-sequential one.
 """
 
 from __future__ import annotations
@@ -144,26 +140,6 @@ class Observability:
         self.metrics.observe(f"phase.{phase_name}", seconds)
         for probe in self.probes:
             probe.on_phase(unit, phase_name, seconds)
-
-    # -- fork marshalling --------------------------------------------------
-
-    def begin_worker_capture(self) -> None:
-        """Called inside a fork worker before a unit: capture only its own."""
-        self.trace.begin_capture()
-        self.metrics.reset()
-
-    def export_worker_capture(self) -> dict[str, Any] | None:
-        """The worker's spans and metric deltas, picklable (worker → parent)."""
-        if not self.enabled:
-            return None
-        return {"spans": self.trace.export(), "metrics": self.metrics.export()}
-
-    def ingest_worker_capture(self, exported: dict[str, Any] | None) -> None:
-        """Fold a worker's capture into this (parent) instance."""
-        if exported is None or not self.enabled:
-            return
-        self.trace.ingest(exported.get("spans") or [])
-        self.metrics.merge(exported.get("metrics") or {})
 
     def reset(self) -> None:
         """Clear spans, metrics and probe/profiler state (test hygiene)."""

@@ -15,9 +15,7 @@ Three instrument kinds:
 
 ``snapshot()`` returns a plain, JSON-ready dict with sorted keys, so two
 runs that did the same work produce byte-identical snapshots (timer
-*totals* aside — wall clock is never deterministic). ``export`` /
-``merge`` marshal a registry across the :mod:`repro.runtime.parallel`
-fork boundary: counters and timers add, gauges last-write-win.
+*totals* aside — wall clock is never deterministic).
 """
 
 from __future__ import annotations
@@ -62,14 +60,6 @@ class TimerStat:
             "min": round(self.minimum, 6) if self.count else 0.0,
             "max": round(self.maximum, 6),
         }
-
-    def merge(self, other: "TimerStat") -> None:
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
 
 
 class MetricsRegistry:
@@ -145,46 +135,6 @@ class MetricsRegistry:
                     for name in sorted(self._timers)
                 },
             }
-
-    # -- fork marshalling --------------------------------------------------
-
-    def export(self) -> dict[str, dict]:
-        """Picklable form for crossing the worker/parent boundary."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "timers": {
-                    name: (stat.count, stat.total, stat.minimum, stat.maximum)
-                    for name, stat in self._timers.items()
-                },
-            }
-
-    def merge(self, exported: dict[str, dict]) -> None:
-        """Fold a worker's :meth:`export` into this registry.
-
-        Counters and timers add; gauges last-write-win (the merge order is
-        the workers' completion order, matching what a sequential run
-        would have left behind only approximately — gauges are point-in-
-        time readings, not accumulations, so this is the honest choice).
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            for name, value in exported.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            for name, value in exported.get("gauges", {}).items():
-                self._gauges[name] = value
-            for name, packed in exported.get("timers", {}).items():
-                count, total, minimum, maximum = packed
-                self._timers.setdefault(name, TimerStat()).merge(
-                    TimerStat(
-                        count=count,
-                        total=total,
-                        minimum=minimum,
-                        maximum=maximum,
-                    )
-                )
 
     def reset(self) -> None:
         """Drop every instrument (run/test boundary hygiene)."""
@@ -262,13 +212,6 @@ class LatencyHistogram:
     @property
     def p99(self) -> float:
         return self.quantile(0.99)
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        if other.lowest != self.lowest or other.growth != self.growth:
-            raise ValueError("cannot merge histograms with different grids")
-        self._stat.merge(other._stat)
-        for bucket, count in other._counts.items():
-            self._counts[bucket] = self._counts.get(bucket, 0) + count
 
     def to_dict(self) -> dict[str, float]:
         """JSON-ready summary: count/mean/min/max plus p50/p90/p99."""

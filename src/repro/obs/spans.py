@@ -11,17 +11,7 @@ in-flight span).
 
 Parenting uses a :mod:`contextvars` stack, so spans nest correctly across
 the deadline threads of :class:`repro.runtime.policy.ExecutionPolicy`
-(which copies its context into the worker thread) and across ``fork``:
-a pool worker inherits the parent process's open-span stack, so a matcher
-span opened inside a worker carries the parent's sweep span id and the
-re-assembled trace is shaped exactly like a sequential run's.
-
-Fork marshalling: a worker calls :meth:`TraceCollector.begin_capture`
-(forget inherited completed spans, stop writing the trace file — the
-parent stays the single writer), runs its unit, and ships
-:meth:`TraceCollector.export` back; the parent's
-:meth:`TraceCollector.ingest` re-attaches orphaned roots under whatever
-span is active at the merge point.
+(which copies its context into the worker thread).
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ _SEQUENCE = itertools.count(1)
 
 
 def _new_span_id() -> str:
-    """Process-unique span id; the pid prefix keeps fork children distinct."""
+    """Span id unique across processes writing one trace file (pid prefix)."""
     return f"{os.getpid():x}-{next(_SEQUENCE):x}"
 
 
@@ -79,7 +69,7 @@ class Span:
             self.status = "degraded"
 
     def identity(self) -> tuple:
-        """The id-free identity used to compare traces across worker counts."""
+        """The id-free identity used to compare traces across runs."""
         return (
             self.name,
             tuple(sorted((k, repr(v)) for k, v in self.attributes.items())),
@@ -259,48 +249,6 @@ class TraceCollector:
         with self._lock:
             self._spans.clear()
             self._active.clear()
-
-    # -- fork marshalling --------------------------------------------------
-
-    def begin_capture(self) -> None:
-        """Start a fresh capture inside a fork worker.
-
-        Drops completed spans inherited from the parent and detaches the
-        trace file so the parent process remains its single writer. The
-        contextvar stack is deliberately left alone: it carries the ids of
-        the parent's open spans, which is exactly the parentage worker
-        spans should record.
-        """
-        self.reset()
-        self.detach_file()
-
-    def export(self) -> list[dict[str, Any]]:
-        """Picklable form of every completed span (worker → parent)."""
-        return [span.to_dict() for span in self.spans()]
-
-    def ingest(self, exported: list[dict[str, Any]]) -> None:
-        """Merge spans marshalled back from a worker.
-
-        A span whose parent is neither in the batch nor already known to
-        this collector is re-attached under the currently active span (or
-        becomes a root), so single-dataset fan-outs keep their sweep →
-        matcher shape.
-        """
-        if not self.enabled or not exported:
-            return
-        imported_ids = {str(entry["span"]) for entry in exported}
-        with self._lock:
-            known = {span.span_id for span in self._spans}
-            known.update(self._active)
-        fallback_parent = self.current_span_id()
-        for entry in exported:
-            span = Span.from_dict(entry)
-            if span.parent_id is not None and span.parent_id not in imported_ids \
-                    and span.parent_id not in known:
-                span.parent_id = fallback_parent
-            with self._lock:
-                self._spans.append(span)
-            self._write_line(span)
 
 
 def _label(name: str, attributes: dict[str, Any]) -> str:

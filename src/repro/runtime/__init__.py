@@ -16,11 +16,6 @@ pieces the experiment layer builds on:
   or stale entries are quarantined and treated as misses.
 * :mod:`repro.runtime.journal` — an append-only checkpoint journal so an
   interrupted run resumes from completed units.
-* :mod:`repro.runtime.parallel` — a process-pool scheduler
-  (:class:`ParallelScheduler`) that fans independent units across
-  ``fork`` workers with deterministic merge order and the same
-  policy/failure semantics as the sequential path (worker spans and
-  metrics marshal back to the parent :mod:`repro.obs` collector).
 * :mod:`repro.runtime.registry` — the process-wide fallback registry for
   absorbed :class:`FailureRecord` data and its lifecycle
   (:func:`clear_recorded_failures`), so run boundaries are managed here
@@ -37,10 +32,13 @@ pieces the experiment layer builds on:
   (:func:`run_doctor`): audits and repairs a cache directory (torn
   journal tails, corrupt envelopes, quarantine retention, stale temp
   files, orphaned run leases).
-* :mod:`repro.runtime.guard` — resource-aware supervision: the heartbeat
-  :class:`Watchdog` with :class:`AdaptiveDeadlineModel` deadlines, the
+* :mod:`repro.runtime.guard` — resource-aware supervision:
+  :class:`AdaptiveDeadlineModel` per-phase deadlines, the
   :class:`ResourceGuard` memory/disk budget ladder, and the
   :class:`RunLease` cache-directory lock with stale-lease takeover.
+
+Every unit runs in the calling process, one after another: there is no
+worker pool (DESIGN.md explains why).
 
 The package is dependency-free (stdlib only) so every layer of the
 repository may import it.
@@ -84,21 +82,11 @@ from repro.runtime.guard import (
     LeaseHeld,
     ResourceGuard,
     RunLease,
-    Watchdog,
-    WatchdogVerdict,
     audit_lease,
-    degrade_reason,
     pid_alive,
     reset_global_degradations,
 )
 from repro.runtime.journal import CheckpointJournal
-from repro.runtime.parallel import (
-    ParallelScheduler,
-    ScheduleResult,
-    UnitReport,
-    WorkUnit,
-    WorkerReport,
-)
 from repro.runtime.policy import (
     DeadlineExceeded,
     ExecutionOutcome,
@@ -135,23 +123,15 @@ __all__ = [
     "FaultPlan",
     "LEASE_NAME",
     "LeaseHeld",
-    "ParallelScheduler",
     "PlanResult",
     "PlannedFault",
     "ResourceGuard",
     "RunLease",
-    "ScheduleResult",
-    "UnitReport",
-    "Watchdog",
-    "WatchdogVerdict",
-    "WorkUnit",
-    "WorkerReport",
     "atomic_write_text",
     "atomic_writer",
     "audit_lease",
     "check_crash_consistency",
     "clear_recorded_failures",
-    "degrade_reason",
     "generate_plans",
     "pid_alive",
     "quarantine",

@@ -13,10 +13,8 @@ trial through — success closes it, failure re-opens it.
 State transitions are surfaced as :mod:`repro.obs` counters
 (``breaker.open`` / ``breaker.half_open`` / ``breaker.close`` /
 ``breaker.short_circuit``) so a sweep's report shows exactly how much
-work the breakers saved. The registry is picklable (the lock is rebuilt
-on unpickle) so an :class:`~repro.runtime.policy.ExecutionPolicy`
-carrying one can cross the fork boundary; breaker state is per-process
-and does not marshal back from workers.
+work the breakers saved. Breaker state lives in the process that runs
+the sweep.
 """
 
 from __future__ import annotations
@@ -159,14 +157,3 @@ class BreakerRegistry:
 
     def __len__(self) -> int:
         return len(self._breakers)
-
-    # -- pickling (fork workers receive policies carrying a registry) ------
-
-    def __getstate__(self) -> dict[str, object]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()

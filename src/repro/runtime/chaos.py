@@ -175,10 +175,9 @@ def default_site_pool(
         PlannedFault("cache:torn-write", "torn", times=1),
         PlannedFault("journal:append", "torn", times=1),
         PlannedFault("io:write", "error", times=1),
-        # Supervision sites (PR-6): a wedged pool worker, simulated memory
-        # pressure driving the degradation ladder, a full disk mid-envelope,
-        # and a competing (dead-owner) lease planted on the cache dir.
-        PlannedFault("guard:hang", "hang", times=1),
+        # Supervision sites: simulated memory pressure driving the
+        # degradation ladder, a full disk mid-envelope, and a competing
+        # (dead-owner) lease planted on the cache dir.
         PlannedFault("guard:oom", "error", times=2),
         PlannedFault("io:enospc", "error", times=1),
         PlannedFault("lease:steal", "error", times=1),
@@ -462,17 +461,12 @@ class ChaosCampaign:
     def _plan_runner_options(plan: FaultPlan) -> dict:
         """Extra runner knobs a plan's fault sites need to be reachable.
 
-        ``guard:hang`` only bites when units fan across real pool workers
-        under a heartbeat watchdog, so those plans run with two workers
-        and a fallback hang deadline. ``guard:oom`` needs an armed
-        :class:`~repro.runtime.guard.ResourceGuard`; the absurd budget
-        keeps *real* RSS out of the picture so only the injected probe
-        drives the degradation ladder.
+        ``guard:oom`` needs an armed :class:`~repro.runtime.guard.ResourceGuard`;
+        the absurd budget keeps *real* RSS out of the picture so only the
+        injected probe drives the degradation ladder.
         """
         sites = {planned.site for planned in plan.faults}
         options: dict = {}
-        if "guard:hang" in sites:
-            options.update(workers=2, hang_deadline_seconds=10.0)
         if "guard:oom" in sites:
             options.update(memory_budget_mb=1_000_000.0)
         return options

@@ -187,13 +187,9 @@ def pending(site: str) -> _ArmedFault | None:
     """Consume one firing decision at ``site`` without acting on it.
 
     For faults the *caller* must enact rather than this module — e.g. the
-    parallel scheduler probes ``guard:hang`` before forking and tells
-    exactly one worker to stall, and the run lease probes ``lease:steal``
-    to plant a competing lease file. Forked children inherit armed faults
-    with *copies* of the fired counters, so firing inside every worker
-    would make ``times=N`` meaningless; consuming the decision in the
-    parent keeps it exact. Returns the armed fault (for ``hang_seconds``
-    etc.) when it fires, else ``None``.
+    run lease probes ``lease:steal`` to plant a competing lease file.
+    Returns the armed fault (for ``hang_seconds`` etc.) when it fires,
+    else ``None``.
     """
     fault = _armed_for(site)
     if fault is None or fault.kind in DATA_KINDS or not fault.should_fire():

@@ -1,20 +1,14 @@
-"""Resource-aware supervision: watchdogs, budgets, and run leases.
+"""Resource-aware supervision: adaptive deadlines, budgets, run leases.
 
-The retry/breaker/chaos layers (PR-1, PR-4) handle failures that *raise*.
-Long sweeps die differently: a worker wedges in native code, the resident
-set creeps past physical memory, the cache volume fills mid-envelope, or
-a second run starts against the same cache directory. This module gives
-the runner and scheduler the primitives to survive all four:
+The retry/breaker/chaos layers handle failures that *raise*. Long sweeps
+die differently: the resident set creeps past physical memory, the cache
+volume fills mid-envelope, or a second run starts against the same cache
+directory. This module gives the runner the primitives to survive them:
 
 * :class:`AdaptiveDeadlineModel` — per-phase deadlines learned from prior
   unit durations (p99 × margin, clamped to a floor/ceiling), replacing a
   single fixed ``--timeout``. Deterministic: the deadline for a phase is
   a pure function of the observed-duration history.
-* :class:`Watchdog` — parent-side bookkeeping for pool workers. Each
-  worker streams heartbeat bytes over a pipe; the parent notices workers
-  that stop beating or outlive their adaptive deadline (``WorkerHang``)
-  or blow a per-worker RSS budget (``BudgetExceeded``), so the scheduler
-  can kill and replace them instead of stalling forever.
 * :class:`ResourceGuard` — in-process RSS + disk-space monitoring with a
   graceful-degradation ladder: shrink the kernel batch size, force the
   merge backend over the bitset, disable the feature cache, and only
@@ -32,17 +26,15 @@ lazy-imports the text layer inside its actions, keeping
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import shutil
 import socket
 import time
 import uuid
-from dataclasses import dataclass, field
 from math import ceil
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro import obs
 from repro.runtime import faults
@@ -50,11 +42,8 @@ from repro.runtime import faults
 #: Lock-file name inside a cache directory.
 LEASE_NAME = "run.lease"
 
-#: Heartbeats older than this (seconds) mark a lease or worker as stale.
+#: Heartbeats older than this (seconds) mark a lease as stale.
 DEFAULT_STALE_AFTER = 30.0
-
-#: Default interval between worker heartbeat bytes (seconds).
-HEARTBEAT_INTERVAL = 0.5
 
 
 class BudgetExceeded(RuntimeError):
@@ -89,16 +78,14 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
-def read_rss_mb(pid: int | None = None) -> float | None:
-    """Resident-set size of ``pid`` (default: this process) in MiB.
+def read_rss_mb() -> float | None:
+    """Resident-set size of this process in MiB.
 
-    Reads ``/proc/<pid>/statm`` — Linux only; returns ``None`` elsewhere
-    or for a vanished process, and callers must treat that as "unknown",
-    never as zero.
+    Reads ``/proc/self/statm`` — Linux only; returns ``None`` elsewhere,
+    and callers must treat that as "unknown", never as zero.
     """
-    target = os.getpid() if pid is None else pid
     try:
-        fields = Path(f"/proc/{target}/statm").read_text().split()
+        fields = Path("/proc/self/statm").read_text().split()
         pages = int(fields[1])
     except (OSError, ValueError, IndexError):
         return None
@@ -180,8 +167,8 @@ class AdaptiveDeadlineModel:
         """Like :meth:`deadline_for` but never the fallback.
 
         For callers that must not punish healthy units before the model
-        has seen real durations — e.g. the sequential matcher loop, where
-        the watchdog's fallback hang deadline would be far too tight.
+        has seen real durations — e.g. the matcher loop, where a fixed
+        fallback deadline would be far too tight.
         """
         if self.samples(key) < self.min_samples:
             return None
@@ -196,144 +183,6 @@ class AdaptiveDeadlineModel:
             }
             for key, history in sorted(self._history.items())
         }
-
-
-# ---------------------------------------------------------------------------
-# Watchdog
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _WatchedWorker:
-    pid: int
-    unit_id: str
-    phase: str
-    started: float
-    last_beat: float
-    deadline_seconds: float | None
-
-
-@dataclass(frozen=True)
-class WatchdogVerdict:
-    """One supervision decision: this worker must be killed and replaced."""
-
-    pid: int
-    unit_id: str
-    kind: str  # "deadline" | "heartbeat" | "rss"
-    detail: str
-    elapsed: float
-
-
-class Watchdog:
-    """Parent-side hang/RSS detection for pool workers.
-
-    The scheduler ``attach``es each spawned worker, feeds heartbeat bytes
-    through ``beat``, and asks for ``verdicts`` every poll tick. A worker
-    earns a verdict when it outlives its adaptive deadline, goes silent
-    past ``stale_after_seconds`` (wedged in native code — it cannot even
-    run its heartbeat thread), or exceeds ``rss_budget_mb``. Healthy
-    completions are fed back via ``observe`` so the deadline model
-    tightens as the run progresses.
-    """
-
-    def __init__(
-        self,
-        *,
-        deadlines: AdaptiveDeadlineModel | None = None,
-        fallback_deadline_seconds: float | None = None,
-        stale_after_seconds: float = DEFAULT_STALE_AFTER,
-        rss_budget_mb: float | None = None,
-        rss_fn: Callable[[int], float | None] = read_rss_mb,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.deadlines = deadlines or AdaptiveDeadlineModel(
-            fallback_seconds=fallback_deadline_seconds
-        )
-        if fallback_deadline_seconds is not None:
-            self.deadlines.fallback_seconds = fallback_deadline_seconds
-        self.stale_after_seconds = stale_after_seconds
-        self.rss_budget_mb = rss_budget_mb
-        self._rss_fn = rss_fn
-        self._clock = clock
-        self._workers: dict[int, _WatchedWorker] = {}
-
-    def attach(self, pid: int, unit_id: str, phase: str) -> None:
-        now = self._clock()
-        self._workers[pid] = _WatchedWorker(
-            pid=pid,
-            unit_id=unit_id,
-            phase=phase,
-            started=now,
-            last_beat=now,
-            deadline_seconds=self.deadlines.deadline_for(phase),
-        )
-
-    def detach(self, pid: int) -> None:
-        self._workers.pop(pid, None)
-
-    def beat(self, pid: int) -> None:
-        worker = self._workers.get(pid)
-        if worker is not None:
-            worker.last_beat = self._clock()
-
-    def observe(self, phase: str, seconds: float) -> None:
-        """Feed one healthy unit duration into the deadline model."""
-        self.deadlines.observe(phase, seconds)
-
-    def watched(self) -> list[int]:
-        return sorted(self._workers)
-
-    def verdicts(self) -> list[WatchdogVerdict]:
-        """Workers that must be terminated now, with the reason why."""
-        now = self._clock()
-        out: list[WatchdogVerdict] = []
-        for worker in list(self._workers.values()):
-            elapsed = now - worker.started
-            deadline = worker.deadline_seconds
-            if deadline is not None and elapsed > deadline:
-                out.append(
-                    WatchdogVerdict(
-                        pid=worker.pid,
-                        unit_id=worker.unit_id,
-                        kind="deadline",
-                        detail=(
-                            f"exceeded adaptive deadline "
-                            f"{deadline:.1f}s (elapsed {elapsed:.1f}s)"
-                        ),
-                        elapsed=elapsed,
-                    )
-                )
-                continue
-            if now - worker.last_beat > self.stale_after_seconds:
-                out.append(
-                    WatchdogVerdict(
-                        pid=worker.pid,
-                        unit_id=worker.unit_id,
-                        kind="heartbeat",
-                        detail=(
-                            f"no heartbeat for {now - worker.last_beat:.1f}s "
-                            f"(stale after {self.stale_after_seconds:.1f}s)"
-                        ),
-                        elapsed=elapsed,
-                    )
-                )
-                continue
-            if self.rss_budget_mb is not None:
-                rss = self._rss_fn(worker.pid)
-                if rss is not None and rss > self.rss_budget_mb:
-                    out.append(
-                        WatchdogVerdict(
-                            pid=worker.pid,
-                            unit_id=worker.unit_id,
-                            kind="rss",
-                            detail=(
-                                f"worker RSS {rss:.0f} MiB over budget "
-                                f"{self.rss_budget_mb:.0f} MiB"
-                            ),
-                            elapsed=elapsed,
-                        )
-                    )
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -775,93 +624,18 @@ def audit_lease(path: Path | str, *, now: float | None = None) -> str | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Worker auto-degrade
-# ---------------------------------------------------------------------------
-
-_FORK_OVERHEAD_CACHE: dict[str, float] = {}
-
-
-def measure_fork_overhead(start_method: str = "fork") -> float:
-    """Seconds to spawn + join one trivial child (cached per method).
-
-    The probe is a single real fork/join; on a loaded single-core box it
-    routinely costs more than a small work unit, which is exactly the
-    regime where ``--workers`` should degrade to the sequential loop.
-    """
-    cached = _FORK_OVERHEAD_CACHE.get(start_method)
-    if cached is not None:
-        return cached
-    import multiprocessing
-
-    try:
-        context = multiprocessing.get_context(start_method)
-        began = time.perf_counter()
-        process = context.Process(target=_noop)
-        process.start()
-        process.join(timeout=10.0)
-        overhead = time.perf_counter() - began
-        if process.exitcode is None:  # pragma: no cover - wedged probe
-            process.kill()
-            overhead = float("inf")
-    except (ValueError, OSError):  # pragma: no cover - method unavailable
-        overhead = float("inf")
-    _FORK_OVERHEAD_CACHE[start_method] = overhead
-    return overhead
-
-
-def _noop() -> None:  # pragma: no cover - runs in the probe child
-    return None
-
-
-def reset_fork_overhead_cache() -> None:
-    _FORK_OVERHEAD_CACHE.clear()
-
-
-def degrade_reason(
-    start_method: str = "fork",
-    *,
-    cpu_count: int | None = None,
-    overhead_threshold_seconds: float = 0.5,
-) -> str | None:
-    """Why ``--workers N`` should fall back to the sequential loop.
-
-    Returns ``None`` when parallelism is worth attempting. On a
-    single-core box forking only adds overhead (the ROADMAP's 0.67×
-    ``BENCH_parallel.json`` regression); with more cores, a measured
-    fork+join slower than ``overhead_threshold_seconds`` still says the
-    machine is too loaded for fan-out to pay.
-    """
-    cores = os.cpu_count() if cpu_count is None else cpu_count
-    if cores is not None and cores <= 1:
-        return f"cpu_count={cores} <= 1: forking cannot outrun the sequential loop"
-    overhead = measure_fork_overhead(start_method)
-    if overhead > overhead_threshold_seconds:
-        return (
-            f"fork+join overhead {overhead:.2f}s exceeds "
-            f"{overhead_threshold_seconds:.2f}s threshold"
-        )
-    return None
-
-
 __all__ = [
     "AdaptiveDeadlineModel",
     "BudgetExceeded",
     "DEFAULT_STALE_AFTER",
     "DiskFull",
-    "HEARTBEAT_INTERVAL",
     "LEASE_NAME",
     "LeaseHeld",
     "ResourceGuard",
     "RunLease",
-    "Watchdog",
-    "WatchdogVerdict",
     "audit_lease",
-    "degrade_reason",
     "disk_free_mb",
-    "measure_fork_overhead",
     "pid_alive",
     "read_rss_mb",
-    "reset_fork_overhead_cache",
     "reset_global_degradations",
 ]

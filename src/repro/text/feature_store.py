@@ -14,10 +14,9 @@ On top sits an optional **content-addressed disk cache**
 (:class:`FeatureMatrixCache`) reusing the PR-1 atomic checksummed cache
 envelopes: the key digests the extractor spec, :data:`~repro.text.kernels
 .KERNEL_VERSION`, the feature names and the full content of every record
-of every pair (in pair order), so repeated sweeps — and the fork workers
-of a ``--workers N`` run, which inherit the active cache — skip
-extraction entirely, and any change to a record, the pair order, the
-schema or the kernel semantics misses cleanly. Floats round-trip through
+of every pair (in pair order), so repeated sweeps skip extraction
+entirely, and any change to a record, the pair order, the schema or the
+kernel semantics misses cleanly. Floats round-trip through
 JSON via ``repr`` exactly, so a cache hit reproduces the matrix **byte
 for byte**. Cache failures are strictly best-effort: corrupt envelopes
 are quarantined and recomputed, failed writes are dropped — only
@@ -174,9 +173,8 @@ def feature_cache_scope(
 ) -> Iterator[FeatureMatrixCache | None]:
     """Activate *cache* for a ``with`` block, then restore the previous.
 
-    The runner wraps each unit of work in a scope, so a forked worker
-    inherits the active cache while unrelated code (and later tests in
-    the same process) never see a stale one.
+    The runner wraps each unit of work in a scope, so unrelated code (and
+    later tests in the same process) never see a stale cache.
     """
     previous = set_feature_cache(cache)
     try:
@@ -565,7 +563,7 @@ class FeatureStore:
 
         Emits the request-level ``features.*`` metrics and the
         ``extract`` phase probe regardless of where the matrix came
-        from, so counters are identical for any worker count.
+        from, so counters are identical whether or not the cache hit.
         """
         started = time.perf_counter()
         obs.inc("features.requests")

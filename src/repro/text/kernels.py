@@ -32,7 +32,7 @@ sweep. This module batches the primitive:
 Every batch increments the ``kernel.*`` metrics (``kernel.batches``,
 ``kernel.pairs``, the ``kernel.seconds`` timer); callers that memoize
 results must therefore memoize *above* this module so the counters track
-physical work identically for any worker count.
+physical work exactly.
 """
 
 from __future__ import annotations

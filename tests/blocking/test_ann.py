@@ -242,15 +242,6 @@ class TestAnnBlockerGraph:
             assert o.metrics.counter("blocking.ann.index_builds") == 1.0
             assert o.metrics.counter("blocking.ann.index_inserts") == 40.0
 
-    def test_deprecated_build_index_still_works(self, small_sources):
-        blocker = AnnBlocker(AnnConfig(backend="graph"))
-        with pytest.warns(DeprecationWarning, match="build_index"):
-            index = blocker.build_index(small_sources)
-        record = next(iter(small_sources.right))
-        with pytest.warns(DeprecationWarning, match="GraphIndex.query"):
-            hits = index.query(record, 3)
-        assert record.record_id in {hit.record_id for hit in hits}
-
 
 class TestTuneAnn:
     def test_meets_recall_target(self, small_sources):

@@ -1,38 +1,29 @@
-"""The PR-3 API surface: RunnerConfig, the render() dispatcher, the facade.
+"""The API surface: RunnerConfig, the render() dispatcher, the facade.
 
-Covers the deprecation contract — legacy forms still work, produce the
-same objects/bytes, and emit exactly one DeprecationWarning — plus the
-shape-dispatch rules of :func:`repro.experiments.report.render`.
+Covers the one way to build a runner (a :class:`RunnerConfig`, passed
+positionally or as ``config=``) and the shape-dispatch rules of
+:func:`repro.experiments.report.render`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.experiments.report import (
-    render,
-    render_failures,
-    render_figure,
-    render_table,
-    render_worker_report,
-)
+from repro.experiments.report import render
 from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.obs import Observability
 from repro.obs.spans import Span
-from repro.runtime import ExecutionPolicy, FailureRecord, WorkerReport
+from repro.runtime import FailureRecord
 
 
 class TestRunnerConfig:
     def test_canonical_config_form(self):
-        config = RunnerConfig(scale=0.5, seed=7, workers=2)
+        config = RunnerConfig(scale=0.5, seed=7)
         runner = ExperimentRunner(config=config)
         assert runner.config is config
         assert runner.scale == 0.5
-        assert runner.size_factor == 0.5  # legacy attribute kept
+        assert runner.size_factor == 0.5
         assert runner.seed == 7
-        assert runner.workers == 2
 
     def test_positional_config_form(self):
         runner = ExperimentRunner(RunnerConfig(scale=0.25))
@@ -53,36 +44,21 @@ class TestRunnerConfig:
         with pytest.raises(TypeError, match="seed must be an integer"):
             RunnerConfig(seed=1.5)
 
-    def test_keyword_legacy_args_map_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            runner = ExperimentRunner(size_factor=0.5, seed=3)
-        assert runner.scale == 0.5
-        assert runner.seed == 3
-
-    def test_positional_legacy_args_warn_once_and_map(self):
-        policy = ExecutionPolicy(max_attempts=2, backoff_base=0.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            runner = ExperimentRunner(0.5, 3, None, policy)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "RunnerConfig" in str(deprecations[0].message)
-        assert runner.scale == 0.5
-        assert runner.seed == 3
-        assert runner.policy is policy
-
     def test_conflicting_forms_are_rejected(self):
         with pytest.raises(TypeError):
             ExperimentRunner(RunnerConfig(), seed=1)
         with pytest.raises(TypeError):
             ExperimentRunner(0.5, config=RunnerConfig())
+        with pytest.raises(TypeError, match="takes a RunnerConfig"):
+            ExperimentRunner(0.5)
         with pytest.raises(TypeError):
-            ExperimentRunner(scale=1.0, size_factor=1.0)
-        with pytest.raises(TypeError):
-            ExperimentRunner(bogus_argument=1)
+            ExperimentRunner(size_factor=1.0)
+
+    def test_workers_other_than_one_raises(self):
+        assert RunnerConfig(workers=1).workers == 1
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="process pool was removed"):
+                RunnerConfig(workers=workers)
 
     def test_injected_observability_wins_over_the_active_one(self):
         handle = Observability()
@@ -132,10 +108,6 @@ class TestRenderDispatcher:
         assert "Degraded units" in text
         assert "sweep:Ds4" in text
 
-    def test_worker_reports_sequence(self):
-        text = render([WorkerReport(worker_pid=1, units=2, busy_seconds=0.5)])
-        assert "Per-worker timing" in text
-
     def test_span_sequence_renders_a_tree(self):
         parent = Span(
             span_id="p", parent_id=None, name="sweep",
@@ -158,29 +130,6 @@ class TestRenderDispatcher:
     def test_unknown_artifact_raises(self):
         with pytest.raises(TypeError, match="cannot dispatch"):
             render(42)
-
-
-class TestDeprecatedAliases:
-    @pytest.mark.parametrize(
-        "alias, args",
-        [
-            (render_table, (["a"], [["1"]])),
-            (render_figure, ({"Ds1": {"NLB": 0.1}},)),
-            (render_failures, ([FAILURE],)),
-            (render_worker_report,
-             ([WorkerReport(worker_pid=1, units=1, busy_seconds=0.1)],)),
-        ],
-    )
-    def test_alias_warns_once_and_matches_render(self, alias, args):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = alias(*args)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "render()" in str(deprecations[0].message)
-        assert legacy == render(args[0] if len(args) == 1 else args)
 
 
 class TestPackageFacade:

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.cli import main
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.experiments.stability import ann_stability
 from repro.experiments.tables import blocking_provenance_table
 
 
 @pytest.fixture(scope="module")
 def small_runner() -> ExperimentRunner:
-    return ExperimentRunner(size_factor=0.15, seed=0, cache_dir=None)
+    return ExperimentRunner(RunnerConfig(scale=0.15, seed=0, cache_dir=None))
 
 
 class TestRunnerProvenance:

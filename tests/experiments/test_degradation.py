@@ -15,13 +15,18 @@ import pytest
 
 import repro.experiments.snapshot as snapshot_module
 from repro.experiments.cli import main
-from repro.experiments.runner import ExperimentRunner, JOURNAL_NAME
+from repro.experiments.runner import (
+    JOURNAL_NAME,
+    ExperimentRunner,
+    RunnerConfig,
+)
 from repro.experiments.tables import DEGRADED_CELL, _f1_table
-from repro.experiments.report import render_failures, render_table
+from repro.experiments.report import render
 from repro.runtime import FailureRecord, faults
 
 SCALE = 0.3
 DATASET = "Ds5"
+DATASETS = ("Ds5", "Ds7")
 FAILING_MATCHER = "DITTO (15)"
 
 
@@ -33,7 +38,17 @@ def clean_faults():
 
 
 def make_runner(cache_dir) -> ExperimentRunner:
-    return ExperimentRunner(size_factor=SCALE, seed=0, cache_dir=cache_dir)
+    return ExperimentRunner(
+        RunnerConfig(scale=SCALE, seed=0, cache_dir=cache_dir)
+    )
+
+
+def scores(results) -> dict[str, tuple[float, float, float, bool]]:
+    """The deterministic slice of a sweep (timings vary run to run)."""
+    return {
+        name: (r.precision, r.recall, r.f1, r.degraded)
+        for name, r in results.items()
+    }
 
 
 @pytest.mark.fault_smoke
@@ -53,7 +68,7 @@ class TestMatcherFaultDegradation:
 
         # The table renders the degraded cell explicitly.
         headers, rows = _f1_table(runner, (DATASET,))
-        rendered = render_table(headers, rows)
+        rendered = render((headers, rows))
         failing_row = next(r for r in rows if r[0] == FAILING_MATCHER)
         assert failing_row[2] == DEGRADED_CELL
         assert DEGRADED_CELL in rendered
@@ -62,7 +77,7 @@ class TestMatcherFaultDegradation:
         failures = runner.failure_records()
         assert [f.unit_id for f in failures] == [f"{DATASET}/{FAILING_MATCHER}"]
         assert failures[0].phase == "matcher"
-        report = render_failures(failures)
+        report = render(failures)
         assert FAILING_MATCHER in report and "InjectedFault" in report
 
 
@@ -134,12 +149,71 @@ class TestCheckpointResume:
             max_attempts=2, backoff_base=0.0, seed=0, sleep=lambda _s: None
         )
         runner = ExperimentRunner(
-            size_factor=SCALE, seed=0, cache_dir=tmp_path, policy=policy
+            RunnerConfig(
+                scale=SCALE, seed=0, cache_dir=tmp_path, policy=policy
+            )
         )
         with faults.injected(f"sweep:{DATASET}", times=1):
             results = runner.matcher_results(DATASET)
         assert len(results) > 20
         assert runner.failure_records() == []
+
+    def test_journal_cache_divergence_is_surfaced(self, tmp_path):
+        first = make_runner(tmp_path)
+        first.matcher_results(DATASET)
+        # Simulate losing the envelope while the journal survives.
+        for cache_file in tmp_path.glob(f"suite_{DATASET}_*.json"):
+            cache_file.unlink()
+
+        resumed = make_runner(tmp_path)
+        results = resumed.matcher_results(DATASET)
+        assert len(results) > 20  # recomputed, not crashed
+        divergences = [
+            f for f in resumed.failure_records() if f.phase == "journal"
+        ]
+        assert [f.unit_id for f in divergences] == [f"sweep:{DATASET}"]
+        assert divergences[0].exception_type == "JournalDivergence"
+
+
+class TestSweepAll:
+    def test_sweep_all_is_the_matcher_results_loop(self, tmp_path):
+        reference = {
+            d: scores(make_runner(None).matcher_results(d)) for d in DATASETS
+        }
+        runner = make_runner(tmp_path)
+        results = runner.sweep_all(DATASETS)
+        assert list(results) == list(DATASETS)
+        assert {d: scores(r) for d, r in results.items()} == reference
+        assert runner.failure_records() == []
+        for dataset_id in DATASETS:
+            assert runner.journal.is_done(f"sweep:{dataset_id}")
+            assert list(tmp_path.glob(f"suite_{dataset_id}_*.json"))
+
+    def test_failed_sweep_degrades_one_dataset_not_the_batch(self, tmp_path):
+        runner = make_runner(tmp_path)
+        with faults.injected(f"sweep:{DATASET}", times=None):
+            results = runner.sweep_all(DATASETS)
+        assert results[DATASET] == {}
+        assert len(results["Ds7"]) > 20
+        failures = runner.failure_records()
+        assert [f.unit_id for f in failures] == [f"sweep:{DATASET}"]
+        assert not runner.journal.is_done(f"sweep:{DATASET}")
+        assert runner.journal.is_done("sweep:Ds7")
+
+    def test_journal_complete_units_are_not_recomputed(self, tmp_path):
+        first = make_runner(tmp_path)
+        baseline = {d: scores(r) for d, r in first.sweep_all(DATASETS).items()}
+
+        # "Restart": a fresh runner over the same cache dir. If any
+        # completed unit were computed again, the armed sweep fault would
+        # blow it up and the dataset would come back empty.
+        resumed = make_runner(tmp_path)
+        with faults.injected("sweep:Ds5", times=None), faults.injected(
+            "sweep:Ds7", times=None
+        ):
+            results = resumed.sweep_all(DATASETS)
+        assert {d: scores(r) for d, r in results.items()} == baseline
+        assert resumed.failure_records() == []
 
 
 class TestSnapshotFailures:

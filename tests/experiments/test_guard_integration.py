@@ -1,16 +1,15 @@
-"""Supervision acceptance: hang-proof workers, budgets, and run leases.
+"""Supervision acceptance: budgets, run leases and adaptive deadlines.
 
 The guard layer's end-to-end contracts, driven through the real runner:
-a deliberately wedged pool worker is killed and surfaced as a
-``WorkerHang`` record while the rest of the sweep completes; two
-concurrent runners on one cache directory never interleave (the loser
-either waits and reuses the winner's results, or fails cleanly with a
-``LeaseHeld`` record); injected memory pressure walks the degradation
-ladder without changing a single score.
+two concurrent runners (threads or processes) on one cache directory
+never interleave (the loser either waits and reuses the winner's
+results, or fails cleanly with a ``LeaseHeld`` record); injected memory
+pressure walks the degradation ladder without changing a single score.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -47,37 +46,6 @@ def scores(results) -> dict[str, tuple[float, float, float, bool]]:
         name: (r.precision, r.recall, r.f1, r.degraded)
         for name, r in results.items()
     }
-
-
-@pytest.mark.fault_smoke
-class TestHangProofWorkers:
-    def test_hung_worker_is_replaced_within_the_deadline(self):
-        # The wedged child sleeps far longer than the whole test budget;
-        # only the watchdog kill can let the sweep finish.
-        faults.arm("guard:hang", "hang", times=1, hang_seconds=600.0)
-        runner = make_runner(workers=2, hang_deadline_seconds=5.0)
-        started = time.monotonic()
-        results = runner.matcher_results(DATASET)
-        elapsed = time.monotonic() - started
-        hangs = [
-            record
-            for record in runner.failure_records()
-            if record.exception_type == "WorkerHang"
-        ]
-        assert len(hangs) == 1
-        assert "terminated by watchdog" in hangs[0].message
-        # The shed unit is visibly degraded; every other unit scored.
-        assert results[hangs[0].unit_id.split("/", 1)[1]].degraded
-        healthy = [name for name, cell in results.items() if not cell.degraded]
-        assert len(healthy) == len(results) - 1
-        # No wall-clock stall: the 600s sleep never ran its course.
-        assert elapsed < 300.0
-
-    def test_healthy_parallel_run_sees_no_watchdog_kills(self):
-        runner = make_runner(workers=2, hang_deadline_seconds=600.0)
-        results = runner.matcher_results(DATASET)
-        assert runner.failure_records() == []
-        assert all(not cell.degraded for cell in results.values())
 
 
 @pytest.mark.fault_smoke
@@ -138,6 +106,32 @@ class TestConcurrentRunners:
         runner = make_runner(tmp_path)
         runner.matcher_results(DATASET)
         assert not (tmp_path / LEASE_NAME).exists()
+
+    def test_two_processes_sharing_one_cache_dir(self, tmp_path):
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        procs = [
+            context.Process(target=_sweep_into_queue, args=(str(tmp_path), queue))
+            for _ in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        first, second = queue.get(timeout=120), queue.get(timeout=120)
+        for proc in procs:
+            proc.join(timeout=120)
+            assert proc.exitcode == 0
+
+        # Both writers saw identical results and left a valid cache:
+        # no quarantined envelopes, and a fresh runner gets a clean hit.
+        assert first == second
+        assert not list(tmp_path.glob("*.quarantined"))
+        reader = make_runner(tmp_path)
+        assert scores(reader.matcher_results(DATASET)) == first
+        assert reader.failure_records() == []
+
+
+def _sweep_into_queue(cache_dir: str, queue) -> None:
+    queue.put(scores(make_runner(cache_dir).matcher_results(DATASET)))
 
 
 class TestAdaptiveDeadlines:

@@ -8,7 +8,7 @@ import pytest
 
 import repro.experiments.snapshot as snapshot_module
 from repro.experiments.paper_comparison import DatasetComparison
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 
 
 @pytest.fixture()
@@ -45,7 +45,7 @@ def stubbed(monkeypatch):
         "assessment",
         lambda self, dataset_id, with_practical=True: FakeAssessment(),
     )
-    return ExperimentRunner(size_factor=1.0)
+    return ExperimentRunner(RunnerConfig(scale=1.0))
 
 
 class TestSnapshot:

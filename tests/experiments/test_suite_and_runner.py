@@ -15,8 +15,8 @@ from repro.experiments.matcher_suite import (
     practical_from_results,
     recorded_failures,
 )
-from repro.experiments.report import render_figure, render_table
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.report import render
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.matchers.base import MatcherResult
 from repro.runtime import faults
 
@@ -154,23 +154,23 @@ class TestFailureRegistryScoping:
 class TestRunner:
     def test_invalid_size_factor(self):
         with pytest.raises(ValueError):
-            ExperimentRunner(size_factor=0)
+            ExperimentRunner(RunnerConfig(scale=0))
 
     def test_unknown_dataset(self):
-        runner = ExperimentRunner()
+        runner = ExperimentRunner(RunnerConfig())
         with pytest.raises(KeyError):
             runner.task_for("nope")
 
     def test_established_task_resolution(self):
-        runner = ExperimentRunner(size_factor=0.5)
+        runner = ExperimentRunner(RunnerConfig(scale=0.5))
         task = runner.task_for("Ds5")
         assert task.name == "Ds5"
 
     def test_disk_cache_round_trip(self, tmp_path):
-        runner = ExperimentRunner(size_factor=0.5, cache_dir=tmp_path)
+        runner = ExperimentRunner(RunnerConfig(scale=0.5, cache_dir=tmp_path))
         first = runner.matcher_results("Ds5")
         # A fresh runner with the same cache dir loads from disk.
-        clone = ExperimentRunner(size_factor=0.5, cache_dir=tmp_path)
+        clone = ExperimentRunner(RunnerConfig(scale=0.5, cache_dir=tmp_path))
         second = clone.matcher_results("Ds5")
         assert {n: r.f1 for n, r in first.items()} == {
             n: r.f1 for n, r in second.items()
@@ -178,7 +178,7 @@ class TestRunner:
         assert list(tmp_path.glob("suite_Ds5_*.json"))
 
     def test_practical_from_results(self, tmp_path):
-        runner = ExperimentRunner(size_factor=0.5, cache_dir=tmp_path)
+        runner = ExperimentRunner(RunnerConfig(scale=0.5, cache_dir=tmp_path))
         practical = runner.practical("Ds5")
         assert -1.0 <= practical.non_linear_boost <= 1.0
         assert 0.0 <= practical.learning_based_margin <= 1.0
@@ -186,7 +186,7 @@ class TestRunner:
 
 class TestReport:
     def test_render_table(self):
-        text = render_table(["a", "bb"], [["1", "2"], ["333", "4"]], title="T")
+        text = render((["a", "bb"], [["1", "2"], ["333", "4"]]), title="T")
         lines = text.splitlines()
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
@@ -194,15 +194,15 @@ class TestReport:
 
     def test_render_table_validates(self):
         with pytest.raises(ValueError):
-            render_table(["a"], [["1", "2"]])
+            render((["a"], [["1", "2"]]))
 
     def test_render_figure(self):
         figure = {"D1": {"x": 0.5, "y": 1.0}, "D2": {"x": 0.25, "y": 0.0}}
-        text = render_figure(figure, title="F")
+        text = render(figure, title="F")
         assert "0.500" in text and "0.250" in text
 
     def test_render_empty_figure(self):
-        assert render_figure({}, title="empty") == "empty"
+        assert render({}, title="empty") == "empty"
 
 
 class TestMatcherResult:

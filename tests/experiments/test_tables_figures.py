@@ -11,14 +11,16 @@ import pytest
 
 from repro.core.practical import PracticalMeasures
 from repro.experiments.figures import _linearity_series, _practical_series
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.experiments.tables import _established_provenance
 
 
 @pytest.fixture(scope="module")
 def half_runner(tmp_path_factory) -> ExperimentRunner:
     return ExperimentRunner(
-        size_factor=0.5, seed=0, cache_dir=tmp_path_factory.mktemp("cache")
+        RunnerConfig(
+            scale=0.5, seed=0, cache_dir=tmp_path_factory.mktemp("cache")
+        )
     )
 
 

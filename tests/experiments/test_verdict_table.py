@@ -8,7 +8,7 @@ from repro.core.assessment import BenchmarkAssessment
 from repro.core.complexity.profile import MEASURE_NAMES, ComplexityProfile
 from repro.core.linearity import LinearityResult
 from repro.core.practical import PracticalMeasures
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.experiments.tables import verdict_table
 
 
@@ -41,7 +41,7 @@ def stub_runner(monkeypatch):
         return _fake_assessment(dataset_id, dataset_id in challenging_set)
 
     monkeypatch.setattr(ExperimentRunner, "assessment", fake_assessment)
-    return ExperimentRunner(size_factor=1.0)
+    return ExperimentRunner(RunnerConfig(scale=1.0))
 
 
 class TestVerdictTable:

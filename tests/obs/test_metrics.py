@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry and its fork-merge semantics."""
+"""Unit tests for the metrics registry."""
 
 from __future__ import annotations
 
@@ -40,6 +40,11 @@ class TestInstruments:
             pass
         assert registry.snapshot()["timers"]["unit"]["count"] == 1
 
+    def test_empty_timer_reports_zero_min(self):
+        stat = TimerStat()
+        assert stat.count == 0
+        assert stat.to_dict()["min"] == 0.0
+
     def test_disabled_registry_is_inert(self):
         registry = MetricsRegistry(enabled=False)
         registry.inc("a")
@@ -77,38 +82,3 @@ class TestSnapshot:
         assert not is_metrics_snapshot(figure)
         assert not is_metrics_snapshot([])
         assert not is_metrics_snapshot("counters gauges timers")
-
-
-class TestMerge:
-    def test_merge_adds_counters_and_timers(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.inc("n")
-        worker.inc("n", 2)
-        worker.observe("t", 0.5)
-        worker.observe("t", 1.5)
-        parent.observe("t", 1.0)
-        parent.merge(worker.export())
-        snapshot = parent.snapshot()
-        assert snapshot["counters"]["n"] == 3.0
-        assert snapshot["timers"]["t"]["count"] == 3
-        assert snapshot["timers"]["t"]["min"] == 0.5
-        assert snapshot["timers"]["t"]["max"] == 1.5
-
-    def test_merge_gauges_last_write_wins(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.gauge("g", 1.0)
-        worker.gauge("g", 2.0)
-        parent.merge(worker.export())
-        assert parent.snapshot()["gauges"]["g"] == 2.0
-
-    def test_merge_into_empty_timer(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        worker.observe("t", 0.25)
-        parent.merge(worker.export())
-        assert parent.snapshot()["timers"]["t"]["count"] == 1
-
-    def test_empty_timerstat_merge_is_noop(self):
-        stat = TimerStat()
-        stat.merge(TimerStat())
-        assert stat.count == 0
-        assert stat.to_dict()["min"] == 0.0

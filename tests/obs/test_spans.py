@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs import Observability, new_run_id
+from repro.obs import new_run_id
 from repro.obs.spans import Span, TraceCollector, read_trace
 
 
@@ -103,58 +103,3 @@ class TestTraceFile:
         ((_, [reloaded]),) = read_trace(path).items()
         assert reloaded.identity() == original.identity()
         assert reloaded.span_id == original.span_id
-
-
-class TestWorkerCapture:
-    def test_begin_capture_drops_spans_and_detaches_file(self, tmp_path):
-        collector = TraceCollector()
-        collector.attach_file(tmp_path / "trace.jsonl", run_id="r")
-        with collector.span("before"):
-            pass
-        collector.begin_capture()
-        assert collector.spans() == []
-        assert collector.trace_path is None
-
-    def test_ingest_reparents_orphans_under_the_active_span(self):
-        worker = TraceCollector()
-        with worker.span("matcher", matcher="a"):
-            pass
-        exported = worker.export()
-        # Fake the fork: the worker span's parent does not exist here.
-        for entry in exported:
-            entry["parent"] = "dead-beef"
-
-        parent = TraceCollector()
-        with parent.span("sweep") as sweep_span:
-            parent.ingest(exported)
-        matcher = [s for s in parent.spans() if s.name == "matcher"]
-        assert [s.parent_id for s in matcher] == [sweep_span.span_id]
-
-    def test_ingest_keeps_known_parents(self):
-        worker = TraceCollector()
-        with worker.span("outer"):
-            with worker.span("inner"):
-                pass
-        parent = TraceCollector()
-        parent.ingest(worker.export())
-        by_name = {span.name: span for span in parent.spans()}
-        assert by_name["inner"].parent_id == by_name["outer"].span_id
-
-
-class TestObservabilityFacade:
-    def test_worker_capture_roundtrip(self):
-        worker = Observability()
-        worker.begin_worker_capture()
-        with worker.span("matcher", matcher="a"):
-            worker.inc("matcher.evaluations")
-        exported = worker.export_worker_capture()
-
-        parent = Observability()
-        parent.ingest_worker_capture(exported)
-        assert [s.name for s in parent.trace.spans()] == ["matcher"]
-        assert parent.metrics.counter("matcher.evaluations") == 1.0
-
-    def test_disabled_export_is_none_and_ingest_tolerates_it(self):
-        worker = Observability(enabled=False)
-        assert worker.export_worker_capture() is None
-        Observability().ingest_worker_capture(None)  # no-op, no raise

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.runtime import BreakerRegistry, CircuitBreaker, ExecutionPolicy
@@ -106,14 +104,6 @@ class TestBreakerRegistry:
         snap = registry.snapshot()
         assert snap["a"]["state"] == OPEN
         assert snap["a"]["times_opened"] == 1
-
-    def test_registry_is_picklable_with_state(self):
-        registry = BreakerRegistry(failure_threshold=1)
-        registry.breaker_for("a").record_failure()
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.breaker_for("a").state == OPEN
-        # The rebuilt lock still guards breaker creation.
-        assert clone.breaker_for("new").state == CLOSED
 
 
 class TestPolicyIntegration:

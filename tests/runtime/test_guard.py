@@ -1,4 +1,4 @@
-"""Tests for resource-aware supervision: deadlines, watchdog, budgets, leases."""
+"""Tests for resource-aware supervision: deadlines, budgets, leases."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.runtime.guard import (
     LeaseHeld,
     ResourceGuard,
     RunLease,
-    Watchdog,
     audit_lease,
     pid_alive,
 )
@@ -102,72 +101,6 @@ class TestAdaptiveDeadlineModel:
             AdaptiveDeadlineModel(margin=0.0)
         with pytest.raises(ValueError, match="ceiling"):
             AdaptiveDeadlineModel(floor_seconds=10.0, ceiling_seconds=1.0)
-
-
-class TestWatchdog:
-    def test_healthy_worker_earns_no_verdict(self):
-        clock = FakeClock()
-        dog = Watchdog(fallback_deadline_seconds=10.0, clock=clock)
-        dog.attach(101, "Ds5/ZeroER", "matcher")
-        clock.advance(5.0)
-        dog.beat(101)
-        assert dog.verdicts() == []
-        assert dog.watched() == [101]
-
-    def test_deadline_verdict(self):
-        clock = FakeClock()
-        dog = Watchdog(fallback_deadline_seconds=10.0, clock=clock)
-        dog.attach(101, "Ds5/ZeroER", "matcher")
-        clock.advance(11.0)
-        dog.beat(101)  # beating is not enough: the deadline still binds
-        (verdict,) = dog.verdicts()
-        assert verdict.kind == "deadline"
-        assert verdict.pid == 101
-        assert verdict.unit_id == "Ds5/ZeroER"
-
-    def test_heartbeat_staleness_verdict(self):
-        clock = FakeClock()
-        dog = Watchdog(stale_after_seconds=3.0, clock=clock)
-        dog.attach(101, "u", "matcher")
-        clock.advance(2.0)
-        dog.beat(101)
-        clock.advance(3.5)  # silent past the staleness window
-        (verdict,) = dog.verdicts()
-        assert verdict.kind == "heartbeat"
-
-    def test_rss_verdict(self):
-        clock = FakeClock()
-        dog = Watchdog(
-            rss_budget_mb=100.0, rss_fn=lambda pid: 250.0, clock=clock
-        )
-        dog.attach(101, "u", "matcher")
-        (verdict,) = dog.verdicts()
-        assert verdict.kind == "rss"
-        assert "250" in verdict.detail
-
-    def test_unknown_rss_is_not_a_verdict(self):
-        dog = Watchdog(rss_budget_mb=100.0, rss_fn=lambda pid: None)
-        dog.attach(101, "u", "matcher")
-        assert dog.verdicts() == []
-
-    def test_observed_durations_tighten_the_deadline(self):
-        clock = FakeClock()
-        dog = Watchdog(fallback_deadline_seconds=600.0, clock=clock)
-        dog.deadlines.floor_seconds = 0.0
-        for _ in range(3):
-            dog.observe("matcher", 1.0)
-        dog.attach(101, "u", "matcher")
-        clock.advance(5.0)  # over p99*margin = 4s, far under the fallback
-        (verdict,) = dog.verdicts()
-        assert verdict.kind == "deadline"
-
-    def test_detach_clears_the_worker(self):
-        clock = FakeClock()
-        dog = Watchdog(fallback_deadline_seconds=1.0, clock=clock)
-        dog.attach(101, "u", "matcher")
-        dog.detach(101)
-        clock.advance(10.0)
-        assert dog.verdicts() == []
 
 
 class TestResourceGuard:
@@ -312,10 +245,10 @@ class TestDiskFullMapping:
 
 class TestPendingProbe:
     def test_pending_consumes_firing_decisions(self):
-        faults.arm("guard:hang", "hang", times=1, hang_seconds=9.0)
-        first = faults.pending("guard:hang")
+        faults.arm("sweep:Ds5", "hang", times=1, hang_seconds=9.0)
+        first = faults.pending("sweep:Ds5")
         assert first is not None and first.hang_seconds == 9.0
-        assert faults.pending("guard:hang") is None
+        assert faults.pending("sweep:Ds5") is None
 
     def test_pending_ignores_data_kinds(self):
         faults.arm("cache:read", "corrupt", times=None)
@@ -492,37 +425,3 @@ class TestPidAlive:
         assert not pid_alive(0)
         assert not pid_alive(-1)
         assert not pid_alive(2 ** 22 + 1)
-
-
-class TestWorkerAutoDegrade:
-    def test_single_core_degrades_to_sequential(self):
-        assert "cannot outrun" in guard.degrade_reason("fork", cpu_count=1)
-
-    def test_multi_core_with_cheap_fork_keeps_workers(self):
-        guard.reset_fork_overhead_cache()
-        guard._FORK_OVERHEAD_CACHE["fork"] = 0.01
-        try:
-            assert guard.degrade_reason("fork", cpu_count=8) is None
-        finally:
-            guard.reset_fork_overhead_cache()
-
-    def test_pathological_fork_overhead_degrades(self):
-        guard.reset_fork_overhead_cache()
-        guard._FORK_OVERHEAD_CACHE["fork"] = 3.0
-        try:
-            reason = guard.degrade_reason("fork", cpu_count=8)
-            assert reason is not None and "overhead" in reason
-        finally:
-            guard.reset_fork_overhead_cache()
-
-    def test_scheduler_degrades_effective_workers(self):
-        from repro.runtime.parallel import ParallelScheduler
-
-        degrading = ParallelScheduler(
-            workers=4, auto_degrade=True, cpu_count=1
-        )
-        assert degrading._effective_workers(10) == 1
-        pinned = ParallelScheduler(
-            workers=4, auto_degrade=False, cpu_count=1
-        )
-        assert pinned._effective_workers(10) == 4
