@@ -6,8 +6,8 @@
 # a seeded chaos smoke campaign with a doctor audit of the surviving
 # cache, the kernel-parity suite, the repository benchmark's audit-cold
 # bit-identity gate, the overhead/speedup benches, and the
-# scale-mode stage (budgeted sharded sweep, SIGKILL/doctor/resume
-# parity, BENCH_scale.json floor re-check).
+# scale-mode stage (budgeted sharded sweep, the scale cases of the
+# SIGKILL/doctor/resume crash test, BENCH_scale.json floor re-check).
 #
 # Usage: scripts/verify.sh [--smoke-only]
 set -euo pipefail
@@ -250,9 +250,9 @@ assert proc.wait(timeout=300) == 0, "SIGTERM drain did not exit cleanly"
 
 # Offline parity: the drained snapshot answers like the live daemon did.
 from repro.data.records import Record
+from repro.runtime.state import SERVE_STATE
 from repro.serve import MatcherSession
-from repro.serve.loop import SNAPSHOT_NAME
-restored = MatcherSession.load(f"{state}/{SNAPSHOT_NAME}")
+restored = MatcherSession.load(f"{state}/{SERVE_STATE.manifest}")
 offline_mismatches = sum(
     1 for p in probes
     if restored.query(
@@ -290,53 +290,9 @@ SCALE_STATE="$(mktemp -d)"
 python -m repro scale-up Ds2 --records 10000 --shard-size 500 \
     --memory-budget 4096 --cache '' --state "$SCALE_STATE/clean" \
     --out "$SCALE_STATE/clean.json"
-# SIGKILL mid-shard: rerun the same config fresh, kill it the moment the
-# first shard lands in the journal (leaving later shards unfinished),
-# doctor-audit the survivor state, resume — the resumed final table must
-# be bit-identical to the uninterrupted run's.
-python - "$SCALE_STATE" <<'EOF'
-import os, signal, subprocess, sys, time
-
-state = sys.argv[1]
-proc = subprocess.Popen(
-    [sys.executable, "-m", "repro", "scale-up", "Ds2",
-     "--records", "10000", "--shard-size", "500",
-     "--cache", "", "--state", f"{state}/killed"],
-    stdout=subprocess.DEVNULL,
-)
-journal = f"{state}/killed/scale.journal"
-deadline = time.time() + 120
-while time.time() < deadline:
-    try:
-        with open(journal, encoding="utf-8") as handle:
-            if sum('"scale:shard:' in line for line in handle) >= 1:
-                break
-    except FileNotFoundError:
-        pass
-    if proc.poll() is not None:
-        sys.exit("scale run exited before it could be killed mid-shard")
-    time.sleep(0.02)
-else:
-    proc.kill()
-    sys.exit("no shard journaled before the deadline")
-proc.send_signal(signal.SIGKILL)
-proc.wait()
-print("SIGKILLed the sweep after >=1 journaled shard")
-EOF
-python -m repro doctor --cache "$SCALE_STATE/killed"
-python -m repro scale-up Ds2 --records 10000 --shard-size 500 \
-    --cache '' --state "$SCALE_STATE/killed" \
-    --out "$SCALE_STATE/resumed.json" | tee /tmp/scale_resume.out
-grep -q "resumed from the journal" /tmp/scale_resume.out
-python - "$SCALE_STATE" <<'EOF'
-import json, sys
-
-state = sys.argv[1]
-clean = json.load(open(f"{state}/clean.json"))
-resumed = json.load(open(f"{state}/resumed.json"))
-assert clean == resumed, "resumed final tables differ from the clean run"
-print("scale kill/resume identical-table check: OK")
-EOF
+# SIGKILL at each commit step (--inject SITE=kill), doctor audit and
+# repair, resume: the final table must equal an uninterrupted run's.
+python -m pytest -x -q tests/runtime/test_crash_consistency.py -k scale
 # Re-check the recorded throughput/quality floors of the committed
 # trajectory (regenerate with: pytest -m scale_bench benchmarks/bench_scale.py).
 python - <<'EOF'

@@ -596,7 +596,8 @@ def _serve_command(args) -> int:
     from repro.datasets.registry import load_established_task, load_source_pair
     from repro.serve import MatcherSession, SessionConfig
     from repro.serve.frontend import FrontendConfig, SocketFrontend
-    from repro.serve.loop import SNAPSHOT_NAME, ServeLoop
+    from repro.runtime.state import SERVE_STATE
+    from repro.serve.loop import ServeLoop
 
     if args.snapshot_every is not None and args.state is None:
         print("--snapshot-every requires --state DIR")
@@ -606,7 +607,7 @@ def _serve_command(args) -> int:
         return 2
 
     snapshot_path = (
-        args.state / SNAPSHOT_NAME if args.state is not None else None
+        args.state / SERVE_STATE.manifest if args.state is not None else None
     )
     if snapshot_path is not None and snapshot_path.exists():
         session = MatcherSession.load(snapshot_path)

@@ -38,6 +38,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from repro import obs as obs_module
@@ -70,18 +71,11 @@ from repro.runtime import (
     read_cached_payload,
     write_envelope,
 )
-from repro.runtime.guard import (
-    AdaptiveDeadlineModel,
-    LeaseHeld,
-    ResourceGuard,
-    RunLease,
-)
+from repro.runtime.guard import AdaptiveDeadlineModel, LeaseHeld, ResourceGuard
+from repro.runtime.state import RUNNER_STATE, CommitFailed, StateDir
 from repro.text.feature_store import FeatureMatrixCache, feature_cache_scope
 
 logger = logging.getLogger("repro.experiments.runner")
-
-#: Journal file name inside the cache directory.
-JOURNAL_NAME = "checkpoint.journal"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -116,11 +110,10 @@ class RunnerConfig:
       off) before shedding units as ``BudgetExceeded`` failures;
     * ``adaptive_deadlines`` — learn per-phase deadlines from healthy
       durations (p99 × margin) instead of one fixed ``--timeout``;
-    * ``lease`` (default on) / ``lease_timeout_seconds`` /
-      ``lease_stale_seconds`` — guard the cache directory with a
-      :class:`RunLease` so concurrent runs never interleave journal or
-      envelope writes; a second runner waits for the holder (re-checking
-      the cache afterwards) or fails cleanly with a ``LeaseHeld`` record.
+    * ``lease_timeout_seconds`` — how long a write-bearing unit waits
+      for the cache directory's run lease (:class:`StateDir`) before it
+      fails cleanly with a ``LeaseHeld`` record; a unit that waited
+      re-checks the cache, since the holder probably computed it.
     """
 
     scale: float = 1.0
@@ -133,9 +126,7 @@ class RunnerConfig:
     memory_budget_mb: float | None = None
     disk_reserve_mb: float | None = None
     adaptive_deadlines: bool = False
-    lease: bool = True
     lease_timeout_seconds: float = 60.0
-    lease_stale_seconds: float = 30.0
     # Left from the removed process pool because perfbench/audit.py passes
     # them: ``workers`` must be 1 and ``auto_degrade_workers`` is ignored.
     workers: int = 1
@@ -159,11 +150,6 @@ class RunnerConfig:
             raise ValueError(
                 f"lease_timeout_seconds must be >= 0, got "
                 f"{self.lease_timeout_seconds}"
-            )
-        if self.lease_stale_seconds <= 0:
-            raise ValueError(
-                f"lease_stale_seconds must be > 0, got "
-                f"{self.lease_stale_seconds}"
             )
         if isinstance(self.scale, bool) or not isinstance(
             self.scale, (int, float)
@@ -232,8 +218,10 @@ class ExperimentRunner:
                 self.cache_dir / obs_module.TRACE_FILE_NAME,
                 run_id=obs_module.new_run_id(),
             )
-        self.journal: CheckpointJournal | None = (
-            CheckpointJournal(self.cache_dir / JOURNAL_NAME)
+        # The cache directory's lease, journal and envelopes: every write
+        # goes through its commit order (DESIGN.md §7, "Durable state").
+        self.state: StateDir | None = (
+            StateDir(self.cache_dir, RUNNER_STATE)
             if self.cache_dir is not None
             else None
         )
@@ -261,15 +249,6 @@ class ExperimentRunner:
             )
             for warning in self.guard.preflight():
                 logger.warning("resource preflight: %s", warning)
-        # Run lease: one writer per cache directory (journal + envelopes).
-        self._lease: RunLease | None = (
-            RunLease(
-                self.cache_dir,
-                stale_after_seconds=self.config.lease_stale_seconds,
-            )
-            if self.cache_dir is not None and self.config.lease
-            else None
-        )
         self._failures: list[FailureRecord] = []
         self._matcher_results: dict[str, dict[str, MatcherResult]] = {}
         self._new_benchmarks: dict[str, NewBenchmark] = {}
@@ -280,6 +259,11 @@ class ExperimentRunner:
     def scale(self) -> float:
         """Canonical name of the legacy ``size_factor`` attribute."""
         return self.size_factor
+
+    @property
+    def journal(self) -> CheckpointJournal | None:
+        """The cache directory's checkpoint journal (``None`` uncached)."""
+        return self.state.journal if self.state is not None else None
 
     # -- failure accounting ----------------------------------------------------
 
@@ -335,27 +319,23 @@ class ExperimentRunner:
     def _acquire_lease(self, unit_id: str) -> float | None:
         """Take the cache lease for a write-bearing unit of work.
 
-        Returns seconds waited (0.0 when uncontended or no lease is
-        configured). ``None`` means the lease could not be taken within
-        the timeout — a ``LeaseHeld`` failure was recorded and the caller
-        must not write to the cache directory. A wait > 0 means another
-        run had the directory meanwhile: re-read the journal before
-        recomputing (the holder probably finished the contested units).
+        Returns seconds waited (0.0 when uncontended or uncached). ``None``
+        means the lease could not be taken within the timeout — a
+        ``LeaseHeld`` failure was recorded and the caller must not write
+        to the cache directory. A wait > 0 means another run had the
+        directory meanwhile: re-check the cache before recomputing.
         """
-        if self._lease is None:
+        if self.state is None:
             return 0.0
         try:
-            waited = self._lease.acquire(self.config.lease_timeout_seconds)
+            return self.state.acquire(self.config.lease_timeout_seconds)
         except LeaseHeld as exc:
             self._record_lease_failure(unit_id, exc)
             return None
-        if waited > 0 and self.journal is not None:
-            self.journal.reload()
-        return waited
 
     def _release_lease(self) -> None:
-        if self._lease is not None:
-            self._lease.release()
+        if self.state is not None:
+            self.state.release()
 
     def _record_journal_divergence(self, unit_id: str) -> None:
         """The journal marks a unit done but its cache entry is unusable."""
@@ -477,7 +457,7 @@ class ExperimentRunner:
                 if self.journal is not None and self.journal.is_done(unit_id):
                     self.obs.inc("journal.skip")
                 results = _results_from_payload(read.payload)
-            self._mark_done(unit_id, cache=cache_path.name)
+            self._commit(unit_id, cache_path.name)
             return results
         if read.error is not None:
             # Corruption is its own record; the quarantine explains the
@@ -599,40 +579,31 @@ class ExperimentRunner:
     def _persist_sweep(
         self, dataset_id: str, unit_id: str, results: dict[str, MatcherResult]
     ) -> None:
-        """Best-effort envelope + journal write for one completed sweep.
-
-        A failed envelope write is recorded and the unit is *not*
-        journalled (a journal entry without a usable envelope would read
-        as a divergence on resume); the in-memory results stand either
-        way, so verdicts never depend on persistence succeeding. The
-        write heartbeats the run lease first — if the lease was stolen by
-        a *live* run meanwhile (split-brain), the write is skipped with a
-        ``LeaseHeld`` record instead of interleaving with the thief's.
-        """
-        if self._lease is not None:
-            try:
-                self._lease.refresh()
-            except LeaseHeld as exc:
-                self._record_lease_failure(unit_id, exc)
-                return
+        """Best-effort envelope + journal commit for one completed sweep."""
         cache_path = self._cache_path(dataset_id)
         if cache_path is not None:
-            try:
-                write_envelope(cache_path, _results_to_payload(results))
-            except Exception as exc:
-                self._record_persist_failure(unit_id, "cache", exc)
-                return
-        self._mark_done(unit_id, cache=getattr(cache_path, "name", None))
+            payload = _results_to_payload(results)
+            self._commit(
+                unit_id, cache_path.name, partial(write_envelope, payload=payload)
+            )
 
-    def _mark_done(self, unit_id: str, **info: object) -> None:
-        if self.journal is None:
+    def _commit(self, unit_id: str, envelope: str, write=None) -> None:
+        """Commit one unit against its envelope (written first by ``write``).
+
+        Persistence is best-effort: the in-memory results stand either
+        way, so verdicts never depend on it. A failed step is recorded
+        and the unit stays unjournaled (a lost checkpoint costs a
+        recompute on resume); a lease taken over by a *live* run
+        (split-brain) skips the write with a ``LeaseHeld`` record.
+        """
+        if self.state is None:
             return
         try:
-            self.journal.mark_done(unit_id, **info)
-        except Exception as exc:
-            # Losing one checkpoint costs a recompute on resume, not the
-            # run; record it and move on.
-            self._record_persist_failure(unit_id, "journal", exc)
+            self.state.commit({unit_id: {}}, envelope=envelope, write=write)
+        except LeaseHeld as exc:
+            self._record_lease_failure(unit_id, exc)
+        except CommitFailed as exc:
+            self._record_persist_failure(unit_id, exc.phase, exc.error)
 
     # -- assessments --------------------------------------------------------------
 
@@ -652,8 +623,6 @@ class ExperimentRunner:
                 cached = self._load_assessment(dataset_id)
                 if cached is None:
                     cached = self._compute_assessment(dataset_id, assess_unit)
-                else:
-                    self._mark_done(assess_unit)
                 self._assessments[base_key] = cached
             if with_practical:
                 base = self._assessments[base_key]
@@ -683,7 +652,6 @@ class ExperimentRunner:
             if held and waited > 0:
                 cached = self._load_assessment(dataset_id)
                 if cached is not None:
-                    self._mark_done(assess_unit)
                     return cached
             # Journal consult: recomputing a unit the journal claims
             # complete is a divergence worth surfacing.
@@ -696,7 +664,6 @@ class ExperimentRunner:
                     )
             if held:
                 self._store_assessment(dataset_id, computed)
-                self._mark_done(assess_unit)
             return computed
         finally:
             if held:
@@ -732,10 +699,9 @@ class ExperimentRunner:
             },
             "complexity": assessment.complexity.scores,
         }
-        try:
-            write_envelope(path, payload)
-        except Exception as exc:
-            self._record_persist_failure(f"assess:{dataset_id}", "cache", exc)
+        self._commit(
+            f"assess:{dataset_id}", path.name, partial(write_envelope, payload=payload)
+        )
 
     def _load_assessment(self, dataset_id: str) -> BenchmarkAssessment | None:
         path = self._assessment_path(dataset_id)
@@ -754,7 +720,7 @@ class ExperimentRunner:
             return None
         payload = read.payload
         assert isinstance(payload, dict)
-        return BenchmarkAssessment(
+        assessment = BenchmarkAssessment(
             task_name=payload["task_name"],
             linearity={
                 name: LinearityResult(
@@ -766,6 +732,8 @@ class ExperimentRunner:
             },
             complexity=ComplexityProfile(scores=payload["complexity"]),
         )
+        self._commit(f"assess:{dataset_id}", path.name)
+        return assessment
 
 
 def check_cache_dir_writable(cache_dir: Path | str) -> str | None:

@@ -28,10 +28,14 @@ pieces the experiment layer builds on:
   (:class:`ChaosCampaign`) asserting verdicts survive randomized
   multi-site fault plans, plus the SIGKILL-based crash-consistency
   checker (:func:`check_crash_consistency`) and the plan shrinker.
+* :mod:`repro.runtime.state` — :class:`~repro.runtime.state.StateDir`,
+  the one durable-state primitive of the runner, ``serve --state`` and
+  ``scale-up --state``: a lease, a journal and the envelopes it trusts,
+  with the commit, trust, reload, stale-state and pairing rules.
 * :mod:`repro.runtime.doctor` — ``repro doctor``'s engine
-  (:func:`run_doctor`): audits and repairs a cache directory (torn
-  journal tails, corrupt envelopes, quarantine retention, stale temp
-  files, orphaned run leases).
+  (:func:`run_doctor`): audits and repairs a directory tree (corrupt
+  envelopes, quarantine retention, stale temp files, orphaned run
+  leases, state-directory trust and pairing, torn journal tails).
 * :mod:`repro.runtime.guard` — resource-aware supervision:
   :class:`AdaptiveDeadlineModel` per-phase deadlines, the
   :class:`ResourceGuard` memory/disk budget ladder, and the

@@ -1,38 +1,31 @@
 """``repro doctor``: audit and repair a cache directory's runtime state.
 
-A sweep's durable state is a cache directory: checksummed JSON envelopes,
-an append-only checkpoint journal, quarantined corrupt entries, and —
-after a crash — stray ``.tmp<pid>`` files from interrupted atomic writes.
-Each of these has a self-healing *read* path (quarantine-as-miss, torn
-tail tolerance), but reads only heal what they touch and leave the
-evidence on disk. :func:`run_doctor` walks the whole directory at once:
+A run's durable state is a tree of state directories
+(:mod:`repro.runtime.state`): checksummed JSON envelopes, journals, run
+leases, quarantined corrupt entries, and — after a crash — stray
+``.tmp<pid>`` files from interrupted atomic writes. Each of these has a
+self-healing *read* path (quarantine-as-miss, torn tail tolerance), but
+reads only heal what they touch and leave the evidence on disk.
+:func:`run_doctor` walks the whole tree at once. Findings fall in six
+categories:
 
-* **torn journal tail** — unparseable JSONL lines (a kill mid-append) are
-  healed durably by compaction, along with superseded duplicate lines;
-* **corrupt cache envelopes** — entries failing checksum/version checks
-  are quarantined (renamed ``*.quarantined``), exactly as a reader would;
-* **quarantine retention** — quarantined files older than
-  ``retention_days`` are deleted; fresher ones are kept as evidence;
-* **stale temp files** — ``*.tmp<pid>`` leftovers whose writer process is
-  dead are removed;
-* **orphaned run leases** — ``run.lease`` files whose owner pid is dead
-  (or whose heartbeat went silent) are deleted so the next run does not
-  wait out a takeover; a healthy lease from a live run is left alone;
-* **serve state pairing** — a ``repro serve --state`` directory always
-  holds its snapshot (``session.json``) and add journal
-  (``serve.journal``) as a *pair*. A journal with entries but no
-  snapshot is deleted (its adds were journal-marked only under a
-  snapshot that is now gone — replayed adds must re-apply, not be
-  skipped against an empty session); a snapshot without its journal gets
-  an empty journal re-materialized; torn/duplicate serve-journal lines
-  compact exactly like the checkpoint journal's;
-* **scale state pairing** — a ``repro scale-up`` state directory holds
-  its manifest (``scale.manifest.json``) and shard journal
-  (``scale.journal``) as a pair. A journal whose manifest is missing,
-  unreadable, or fingerprint-mismatched is deleted (per-shard counts are
-  meaningless without the config that produced them; shards are
-  deterministic and recompute); a manifest without its journal gets an
-  empty journal re-materialized; torn tails compact as usual.
+* **cache** — envelopes failing checksum/version checks are quarantined
+  (renamed ``*.quarantined``), exactly as a reader would;
+* **quarantine** — quarantined files older than ``retention_days`` are
+  deleted; fresher ones are kept as evidence;
+* **tmp** — ``*.tmp<pid>`` leftovers whose writer process is dead are
+  removed;
+* **lease** — ``run.lease`` files whose owner pid is dead (or whose
+  heartbeat went silent) are deleted so the next run does not wait out a
+  takeover; a healthy lease from a live run is left alone;
+* **state** — every state directory's trust and pairing rules
+  (:meth:`repro.runtime.state.StateDir.audit`): journal entries whose
+  envelope is missing, corrupt or from another fingerprint are dropped
+  (their units recompute), and a manifest without its journal gets an
+  empty one. It runs after the envelope audit, so one repair pass
+  leaves every directory consistent;
+* **journal** — torn (a kill mid-append) and superseded duplicate
+  journal lines are healed durably by compaction.
 
 ``check=True`` audits without touching anything (exit code 1 from the CLI
 when problems are found); a repair run is idempotent — a second pass
@@ -57,26 +50,9 @@ from repro.runtime.cache import (
 )
 from repro.runtime.guard import LEASE_NAME, audit_lease, pid_alive
 from repro.runtime.journal import CheckpointJournal
+from repro.runtime.state import LAYOUTS, Layout, StateDir
 
 logger = logging.getLogger("repro.runtime.doctor")
-
-#: Journal filename inside a cache directory (kept in sync with
-#: ``repro.experiments.runner.JOURNAL_NAME``; redeclared here so the
-#: runtime layer stays importable without the experiments layer).
-JOURNAL_NAME = "checkpoint.journal"
-
-#: Serve state-directory filenames (kept in sync with
-#: ``repro.serve.loop.JOURNAL_NAME``/``SNAPSHOT_NAME``; redeclared here
-#: so the runtime layer stays importable without the serve layer).
-SERVE_JOURNAL_NAME = "serve.journal"
-SERVE_SNAPSHOT_NAME = "session.json"
-
-#: Scale state-directory filenames (kept in sync with
-#: ``repro.scale.sweep.SCALE_JOURNAL_NAME``/``SCALE_MANIFEST_NAME``;
-#: redeclared here so the runtime layer stays importable without the
-#: scale layer).
-SCALE_JOURNAL_NAME = "scale.journal"
-SCALE_MANIFEST_NAME = "scale.manifest.json"
 
 #: Days a quarantined entry is kept as evidence before the doctor
 #: deletes it.
@@ -89,7 +65,7 @@ _TMP_PATTERN = re.compile(r"\.tmp(\d+)$")
 class DoctorFinding:
     """One audited problem and what was (or would be) done about it."""
 
-    category: str  # "journal" | "cache" | "quarantine" | "tmp" | "lease" | "serve" | "scale"
+    category: str  # "cache" | "quarantine" | "tmp" | "lease" | "state" | "journal"
     path: str
     problem: str
     action: str  # what was done, or "would <x>" in check mode
@@ -131,12 +107,11 @@ class DoctorReport:
 
 
 def _audit_journal(
-    journal_path: Path, check: bool, findings: list[DoctorFinding]
+    journal: CheckpointJournal, check: bool, findings: list[DoctorFinding]
 ) -> int:
     """Heal a torn/duplicated journal via compaction; returns unit count."""
-    if not journal_path.exists():
+    if not journal.path.exists():
         return 0
-    journal = CheckpointJournal(journal_path)
     problems: list[str] = []
     if journal.torn_lines:
         problems.append(f"{journal.torn_lines} torn line(s)")
@@ -149,7 +124,7 @@ def _audit_journal(
         findings.append(
             DoctorFinding(
                 category="journal",
-                path=journal_path.name,
+                path=journal.path.name,
                 problem=problem,
                 action="would compact",
             )
@@ -160,151 +135,12 @@ def _audit_journal(
         findings.append(
             DoctorFinding(
                 category="journal",
-                path=journal_path.name,
+                path=journal.path.name,
                 problem=problem,
                 action=f"compacted, shed {shed} line(s)",
             )
         )
     return len(journal)
-
-
-def _audit_serve_journal(
-    journal_path: Path, check: bool, findings: list[DoctorFinding]
-) -> int:
-    """Audit a serve add-journal: pairing first, then torn/duplicate lines.
-
-    A journal entry means "this add id is covered by a snapshot"; with
-    the snapshot gone, replaying those adds would be journal-skipped and
-    the records silently lost. Deleting the orphaned journal makes the
-    replay re-apply them — the safe direction.
-    """
-    snapshot = journal_path.with_name(SERVE_SNAPSHOT_NAME)
-    journal = CheckpointJournal(journal_path)
-    if len(journal) > 0 and not snapshot.exists():
-        problem = (
-            f"{len(journal)} journaled add(s) but no {SERVE_SNAPSHOT_NAME} "
-            "snapshot; replayed adds would be skipped"
-        )
-        if check:
-            action = "would delete (adds must replay)"
-        else:
-            journal_path.unlink(missing_ok=True)
-            obs.inc("doctor.serve_journal_deleted")
-            action = "deleted (adds must replay)"
-        findings.append(
-            DoctorFinding(
-                category="serve",
-                path=journal_path.name,
-                problem=problem,
-                action=action,
-            )
-        )
-        return 0
-    return _audit_journal(journal_path, check, findings)
-
-
-def _audit_scale_journal(
-    journal_path: Path, check: bool, findings: list[DoctorFinding]
-) -> int:
-    """Audit a scale shard journal against its manifest.
-
-    A journal entry means "this shard's counts are final under the
-    manifest's config fingerprint". With the manifest gone or unreadable
-    the counts have no config to reduce under, and with a fingerprint
-    mismatch they belong to a *different* run; either way the safe
-    direction is deletion — shards are deterministic and recompute.
-    Torn/duplicate lines compact exactly like the checkpoint journal's.
-    """
-    manifest_path = journal_path.with_name(SCALE_MANIFEST_NAME)
-    journal = CheckpointJournal(journal_path)
-    fingerprint = None
-    if manifest_path.exists():
-        try:
-            payload = read_envelope(manifest_path)
-        except CacheError:
-            pass  # the .json audit quarantines the manifest itself
-        else:
-            if isinstance(payload, dict):
-                fingerprint = payload.get("fingerprint")
-    stale = sum(
-        1
-        for unit in journal.completed
-        if (journal.info(unit) or {}).get("config") != fingerprint
-    )
-    if len(journal) > 0 and (fingerprint is None or stale):
-        if fingerprint is None:
-            problem = (
-                f"{len(journal)} journaled shard(s) but no readable "
-                f"{SCALE_MANIFEST_NAME}; counts have no config to "
-                "reduce under"
-            )
-        else:
-            problem = (
-                f"{stale} journaled shard(s) from a different config "
-                "fingerprint"
-            )
-        if check:
-            action = "would delete (shards recompute)"
-        else:
-            journal_path.unlink(missing_ok=True)
-            obs.inc("doctor.scale_journal_deleted")
-            action = "deleted (shards recompute)"
-        findings.append(
-            DoctorFinding(
-                category="scale",
-                path=journal_path.name,
-                problem=problem,
-                action=action,
-            )
-        )
-        return 0
-    return _audit_journal(journal_path, check, findings)
-
-
-def _audit_scale_manifest(
-    path: Path, check: bool, findings: list[DoctorFinding]
-) -> None:
-    """Re-materialize a scale manifest's missing journal, then verify it."""
-    journal = path.with_name(SCALE_JOURNAL_NAME)
-    if not journal.exists():
-        if check:
-            action = "would create empty journal"
-        else:
-            journal.touch()
-            obs.inc("doctor.scale_journal_created")
-            action = "created empty journal"
-        findings.append(
-            DoctorFinding(
-                category="scale",
-                path=path.name,
-                problem=f"manifest without its {SCALE_JOURNAL_NAME}",
-                action=action,
-            )
-        )
-    _audit_envelope(path, check, findings)
-
-
-def _audit_serve_snapshot(
-    path: Path, check: bool, findings: list[DoctorFinding]
-) -> None:
-    """Re-materialize a serve snapshot's missing journal, then verify it."""
-    journal = path.with_name(SERVE_JOURNAL_NAME)
-    if not journal.exists():
-        if check:
-            action = "would create empty journal"
-        else:
-            journal.touch()
-            obs.inc("doctor.serve_journal_created")
-            action = "created empty journal"
-        findings.append(
-            DoctorFinding(
-                category="serve",
-                path=path.name,
-                problem=f"snapshot without its {SERVE_JOURNAL_NAME}",
-                action=action,
-            )
-        )
-    _audit_envelope(path, check, findings)
 
 
 def _audit_envelope(
@@ -437,43 +273,45 @@ def run_doctor(
     retention_seconds = retention_days * 86400.0
     files_scanned = 0
     journal_units = 0
+    by_name = {
+        name: layout
+        for layout in LAYOUTS
+        for name in (layout.journal, layout.manifest)
+        if name is not None
+    }
+    state_dirs: set[tuple[Path, Layout]] = set()
     with obs.span("doctor.run", cache_dir=str(root), check=check):
         if root.exists():
             for path in sorted(root.rglob("*")):
                 if not path.is_file():
                     continue
-                if path.name == JOURNAL_NAME:
-                    # Every journal in the tree: a chaos campaign leaves
-                    # one per plan directory, not just the root's.
-                    journal_units += _audit_journal(path, check, findings)
-                    continue
-                if path.name == SERVE_JOURNAL_NAME:
-                    journal_units += _audit_serve_journal(
-                        path, check, findings
-                    )
-                    continue
-                if path.name == SCALE_JOURNAL_NAME:
-                    journal_units += _audit_scale_journal(
-                        path, check, findings
-                    )
-                    continue
-                if path.name == LEASE_NAME:
-                    files_scanned += 1
-                    _audit_lease(path, now, check, findings)
-                    continue
+                layout = by_name.get(path.name)
+                if layout is not None:
+                    # Every state directory in the tree: a chaos campaign
+                    # leaves one per plan directory, not just the root's.
+                    state_dirs.add((path.parent, layout))
+                    if path.name == layout.journal:
+                        continue
                 files_scanned += 1
-                if path.name.endswith(QUARANTINE_SUFFIX):
+                if path.name == LEASE_NAME:
+                    _audit_lease(path, now, check, findings)
+                elif path.name.endswith(QUARANTINE_SUFFIX):
                     _audit_quarantined(
                         path, retention_seconds, now, check, findings
                     )
                 elif _TMP_PATTERN.search(path.name):
                     _audit_tmp(path, check, findings)
-                elif path.name == SERVE_SNAPSHOT_NAME:
-                    _audit_serve_snapshot(path, check, findings)
-                elif path.name == SCALE_MANIFEST_NAME:
-                    _audit_scale_manifest(path, check, findings)
                 elif path.suffix == ".json":
                     _audit_envelope(path, check, findings)
+        # After the envelope audit, so entries whose envelope was just
+        # quarantined are dropped in this same pass.
+        for directory, layout in sorted(
+            state_dirs, key=lambda pair: (str(pair[0]), pair[1].kind)
+        ):
+            state = StateDir(directory, layout)
+            for name, problem, action in state.audit(check=check):
+                findings.append(DoctorFinding("state", name, problem, action))
+            journal_units += _audit_journal(state.journal, check, findings)
     report = DoctorReport(
         cache_dir=str(root),
         check_only=check,

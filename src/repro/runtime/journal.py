@@ -2,7 +2,7 @@
 
 One JSON line per completed unit of work::
 
-    {"unit": "sweep:Ds4", "info": {"cache": "suite_Ds4_ab12.json"}}
+    {"unit": "sweep:Ds4", "info": {"envelope": "suite_Ds4_ab12.json"}}
 
 Appends are flushed and fsynced, so a kill leaves at worst one truncated
 final line — which the loader tolerates, drops, and counts in the
@@ -71,13 +71,7 @@ class CheckpointJournal:
                 self._entries[entry["unit"]] = entry.get("info") or {}
 
     def reload(self) -> None:
-        """Re-read the file, picking up entries appended by another process.
-
-        The double-checked-locking half of lease contention: a runner that
-        *waited* for the cache lease must assume the previous holder
-        completed (and journaled) the contested units, and re-read before
-        recomputing.
-        """
+        """Re-read the file, picking up entries appended by another process."""
         self._entries.clear()
         self._needs_newline = False
         self.torn_lines = 0
@@ -137,19 +131,24 @@ class CheckpointJournal:
                 )
             except OSError:
                 raw_lines = 0
-        if not self._entries:
-            if self.path.exists():
-                self.path.unlink(missing_ok=True)
-            return raw_lines
-        text = "".join(
-            json.dumps({"unit": unit, "info": info}, sort_keys=True) + "\n"
-            for unit, info in sorted(self._entries.items())
-        )
-        atomic_write_text(self.path, text)
+        if self._entries:
+            text = "".join(
+                json.dumps({"unit": unit, "info": info}, sort_keys=True) + "\n"
+                for unit, info in sorted(self._entries.items())
+            )
+            atomic_write_text(self.path, text)
+        else:
+            self.path.unlink(missing_ok=True)
         self._needs_newline = False
         self.torn_lines = 0
         self.duplicate_lines = 0
         return raw_lines - len(self._entries)
+
+    def discard(self, unit_ids) -> None:
+        """Forget some units, durably (an atomic :meth:`compact`)."""
+        for unit_id in unit_ids:
+            self._entries.pop(unit_id, None)
+        self.compact()
 
     def clear(self) -> None:
         """Forget all checkpoints (start a fresh run)."""

@@ -14,8 +14,6 @@ from repro.scale.config import (
     scale_profile,
 )
 from repro.scale.sweep import (
-    SCALE_JOURNAL_NAME,
-    SCALE_MANIFEST_NAME,
     SCALE_REPORT_NAME,
     ScaleReport,
     ShardedSweep,
@@ -26,8 +24,6 @@ from repro.scale.sweep import (
 
 __all__ = [
     "SCALE_BLOCKER_SPECS",
-    "SCALE_JOURNAL_NAME",
-    "SCALE_MANIFEST_NAME",
     "SCALE_MATCHER_VARIANTS",
     "SCALE_REPORT_NAME",
     "ScaleConfig",

@@ -15,10 +15,11 @@ through the full pipeline without ever materializing the dataset:
    through a per-shard :class:`~repro.text.feature_store.FeatureStore`
    that dies with the shard — the memory ceiling is one shard, not one
    dataset.
-4. **Checkpoint** the shard's counts in a ``scale.journal`` through
-   :class:`~repro.runtime.journal.CheckpointJournal`; a SIGKILL mid-shard
-   resumes at the last shard boundary, and ``repro doctor`` audits the
-   journal against the run's ``scale.manifest.json``.
+4. **Checkpoint** the shard's counts through a
+   :class:`~repro.runtime.state.StateDir` whose manifest carries the
+   config fingerprint: the sweep holds the directory's lease while it
+   runs, a SIGKILL mid-shard resumes at the last shard boundary, and
+   ``repro doctor`` audits the journal against the manifest.
 5. **Reduce** per-shard counts into dataset-level PC/PQ and matcher
    precision/recall/F1. Matches never cross shards (a shared entity
    renders both its records in one shard), so per-shard blocking loses no
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,17 +55,13 @@ from repro.datasets.generator import (
     shard_count,
 )
 from repro.matchers.esde import EsdeMatcher
-from repro.runtime.cache import read_envelope, write_envelope
+from repro.runtime.cache import write_envelope
 from repro.runtime.guard import ResourceGuard
-from repro.runtime.journal import CheckpointJournal
+from repro.runtime.state import SCALE_STATE, StateDir
 from repro.scale.config import ScaleConfig, scale_profile
 
-#: Scale state-directory filenames. The journal pairs with the manifest
-#: the way ``serve.journal`` pairs with ``session.json``: entries are
-#: only meaningful under the manifest's config fingerprint, and
-#: ``repro doctor`` audits the pairing.
-SCALE_JOURNAL_NAME = "scale.journal"
-SCALE_MANIFEST_NAME = "scale.manifest.json"
+#: The final report, written beside the state directory's manifest and
+#: journal once every shard is complete.
 SCALE_REPORT_NAME = "scale.report.json"
 
 _FIT_UNIT = "scale:fit"
@@ -311,7 +309,11 @@ class ShardedSweep:
         )
         self.n_shards = shard_count(self.profile, config.shard_size)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.journal: CheckpointJournal | None = None
+        self.state = (
+            StateDir(self.cache_dir, SCALE_STATE, fingerprint=self.fingerprint)
+            if self.cache_dir is not None
+            else None
+        )
         self.guard = ResourceGuard(
             memory_budget_mb=config.memory_budget_mb,
             disk_reserve_mb=config.disk_reserve_mb,
@@ -325,52 +327,13 @@ class ShardedSweep:
 
     # -- durable state ------------------------------------------------------
 
-    def _open_state(self) -> None:
-        """Attach the journal + manifest; discard stale-config state."""
-        if self.cache_dir is None:
-            self.journal = None
-            return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path = self.cache_dir / SCALE_MANIFEST_NAME
-        stale = False
-        if manifest_path.exists():
-            try:
-                payload = read_envelope(manifest_path)
-            except Exception:
-                stale = True
-            else:
-                stale = (
-                    not isinstance(payload, dict)
-                    or payload.get("fingerprint") != self.fingerprint
-                )
-        if stale:
-            # A different (or unreadable) config owned this directory:
-            # its checkpoints must not leak into this run's reduction.
-            obs.inc("scale.state_reset")
-            (self.cache_dir / SCALE_JOURNAL_NAME).unlink(missing_ok=True)
-        write_envelope(
-            manifest_path,
-            {
-                "fingerprint": self.fingerprint,
-                "dataset_id": self.config.dataset_id,
-                "records": self.config.records,
-                "shard_size": self.config.shard_size,
-                "blocker": self.config.blocker,
-                "matcher": self.config.matcher_variant,
-                "seed": self.config.seed,
-                "n_shards": self.n_shards,
-            },
-        )
-        self.journal = CheckpointJournal(self.cache_dir / SCALE_JOURNAL_NAME)
-
     def _journal_info(self, unit: str) -> dict | None:
         """A journaled unit's info, if it belongs to this config."""
-        if self.journal is None:
-            return None
-        info = self.journal.info(unit)
-        if info is None or info.get("config") != self.fingerprint:
-            return None
-        return info
+        return self.state.info(unit) if self.state is not None else None
+
+    def _commit(self, unit: str, info: dict) -> None:
+        if self.state is not None:
+            self.state.commit({unit: info})
 
     # -- fitting ------------------------------------------------------------
 
@@ -446,10 +409,7 @@ class ShardedSweep:
             matcher = EsdeMatcher(self.config.matcher_variant)
             matcher.fit(task)
             payload = matcher.to_payload()
-        if self.journal is not None:
-            self.journal.mark_done(
-                _FIT_UNIT, config=self.fingerprint, matcher=payload
-            )
+        self._commit(_FIT_UNIT, {"matcher": payload})
         return payload
 
     # -- per-shard pipeline --------------------------------------------------
@@ -527,17 +487,28 @@ class ShardedSweep:
     def run(self, max_shards: int | None = None) -> ScaleReport:
         """Run (or resume) the sweep; returns the reduced report.
 
-        ``max_shards`` bounds how many shards this call processes —
-        the kill/resume tests use it to stop at a shard boundary; a
-        second ``run()`` picks up where the journal left off.
+        ``max_shards`` bounds how many shards this call processes (``0``
+        only fits); a second ``run()`` picks up where the journal left
+        off. The state directory's lease is held for the call: a second
+        sweep on the same directory waits for it (or raises
+        ``LeaseHeld``) before it may discard this one's state.
         """
-        with obs.span(
+        with self.state or nullcontext(), obs.span(
             "scale.sweep",
             dataset=self.config.dataset_id,
             records=self.config.records,
             shards=self.n_shards,
         ):
-            self._open_state()
+            if self.state is not None:
+                self.state.open({
+                    "dataset_id": self.config.dataset_id,
+                    "records": self.config.records,
+                    "shard_size": self.config.shard_size,
+                    "blocker": self.config.blocker,
+                    "matcher": self.config.matcher_variant,
+                    "seed": self.config.seed,
+                    "n_shards": self.n_shards,
+                })
             self.resumed_shards = 0
             for warning in self.guard.preflight():
                 obs.annotate(scale_preflight=warning)
@@ -547,10 +518,7 @@ class ShardedSweep:
             shard0: SourcePair | None = None
             if (
                 self._journal_info(_FIT_UNIT) is None
-                and (
-                    self.journal is None
-                    or self._journal_info(_shard_unit(0)) is None
-                )
+                and self._journal_info(_shard_unit(0)) is None
             ):
                 shard0 = generate_shard(
                     self.profile, 0, self.config.shard_size, self._factory
@@ -576,10 +544,7 @@ class ShardedSweep:
                 shard0 = None
                 processed += 1
                 stats.append(shard_stats)
-                if self.journal is not None:
-                    self.journal.mark_done(
-                        unit, config=self.fingerprint, **shard_stats.to_info()
-                    )
+                self._commit(unit, shard_stats.to_info())
             report = ScaleReport(
                 config=self.config,
                 fingerprint=self.fingerprint,

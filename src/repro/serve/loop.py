@@ -22,15 +22,15 @@ line is a ``bad_request`` response plus a ``serve.bad_request`` counter,
 never an unhandled exception; the same parser backs the socket front end
 (:mod:`repro.serve.frontend`).
 
-**Durability.** With ``--state DIR`` the loop holds a
-:class:`~repro.runtime.guard.RunLease` on the directory, snapshots the
-session to ``session.json`` (every ``--snapshot-every`` added records,
-on the ``snapshot`` op, and at drain) and journals add request ids into
-``serve.journal`` — *only once they are covered by a snapshot*, so a
-journaled add is always in the snapshot it survives with. On restart a
-replayed add is either journal-skipped (snapshotted before the crash) or
-re-applied; records already present are silently deduplicated, so the
-add/crash/replay cycle is exactly-once.
+**Durability.** With ``--state DIR`` the directory is a
+:class:`~repro.runtime.state.StateDir` whose manifest is the session
+snapshot: the loop holds its lease, snapshots the session (every
+``--snapshot-every`` added records, on the ``snapshot`` op, and at drain)
+and journals add request ids *in the same commit, after the snapshot is
+durable*, so a journaled add is always in the snapshot it survives with.
+On restart a replayed add is either journal-skipped (snapshotted before
+the crash) or re-applied; records already present are silently
+deduplicated, so the add/crash/replay cycle is exactly-once.
 
 **Drain.** SIGTERM stops intake and finishes the requests already read;
 the ``shutdown`` op stops immediately after its own response. Either
@@ -52,8 +52,7 @@ from typing import IO
 from repro import obs
 from repro.data.records import Record
 from repro.runtime import faults
-from repro.runtime.guard import RunLease
-from repro.runtime.journal import CheckpointJournal
+from repro.runtime.state import SERVE_STATE, StateDir
 from repro.serve.protocol import (
     BadRequest,
     bad_request_response,
@@ -61,10 +60,6 @@ from repro.serve.protocol import (
     parse_request,
 )
 from repro.serve.session import MatcherSession
-
-#: File names inside a ``--state`` directory.
-SNAPSHOT_NAME = "session.json"
-JOURNAL_NAME = "serve.journal"
 
 
 def _parse_record(entry: dict) -> Record:
@@ -99,64 +94,46 @@ class ServeLoop:
         self.snapshot_every = snapshot_every
         self.poll_seconds = poll_seconds
         self.draining = threading.Event()
-        self._lease: RunLease | None = None
-        self._journal: CheckpointJournal | None = None
-        self._snapshot_path: Path | None = None
+        self._state = (
+            StateDir(state_dir, SERVE_STATE) if state_dir is not None else None
+        )
         self._pending_add_ids: list[str] = []
         self._adds_since_snapshot = 0
-        if state_dir is not None:
-            state = Path(state_dir)
-            state.mkdir(parents=True, exist_ok=True)
-            self._lease = RunLease(state)
-            self._journal = CheckpointJournal(state / JOURNAL_NAME)
-            # Materialize the journal file immediately: a state directory
-            # always holds the snapshot/journal *pair*, so the doctor can
-            # treat a snapshot without its journal (or vice versa) as torn
-            # state rather than a legitimate layout.
-            self._journal.path.touch(exist_ok=True)
-            self._snapshot_path = state / SNAPSHOT_NAME
 
     # -- durability --------------------------------------------------------
 
     def acquire_state(self) -> None:
-        """Take the state-directory lease (no-op without ``--state``)."""
-        if self._lease is not None:
-            self._lease.acquire()
+        """Lease and open the state directory (no-op without ``--state``)."""
+        if self._state is not None:
+            self._state.acquire()
+            self._state.open()
 
     def release_state(self) -> None:
         """Release the state-directory lease (no-op without ``--state``)."""
-        if self._lease is not None:
-            self._lease.release()
+        if self._state is not None:
+            self._state.release()
 
     def _snapshot(self) -> str:
-        """Persist the session, then journal the adds it now covers."""
-        assert self._snapshot_path is not None
-        self.session.save(self._snapshot_path)
-        if self._journal is not None:
-            for request_id in self._pending_add_ids:
-                self._journal.mark_done(request_id, records=len(self.session))
+        """Commit the session snapshot with the adds it now covers."""
+        assert self._state is not None
+        records = len(self.session)
+        self._state.commit(
+            {rid: {"records": records} for rid in self._pending_add_ids},
+            write=self.session.save,
+        )
         self._pending_add_ids.clear()
         self._adds_since_snapshot = 0
-        return str(self._snapshot_path)
+        return str(self._state.root / SERVE_STATE.manifest)
 
     def _drain_state(self) -> None:
-        """The durable half of a drain: snapshot, then truncate the journal.
+        """The durable half of a drain: snapshot, then compact the journal.
 
-        Ordering matters for crash consistency: the snapshot lands first
-        (atomic tmp + replace), then the journal is compacted to one
-        canonical line per add id (also atomic) and re-materialized. A
-        kill between the two leaves a valid snapshot plus a journal with
+        A kill between the two leaves a valid snapshot plus a journal with
         duplicate/torn lines — exactly what ``repro doctor`` repairs.
         """
-        if self._snapshot_path is None:
-            return
-        self._snapshot()
-        if self._journal is not None:
-            if self._journal.torn_lines or self._journal.duplicate_lines:
-                self._journal.compact()
-            # ``compact`` deletes an entry-less journal; restore the file
-            # so the snapshot/journal pairing invariant survives drains.
-            self._journal.path.touch(exist_ok=True)
+        if self._state is not None:
+            self._snapshot()
+            self._state.compact()
 
     # -- request handling --------------------------------------------------
 
@@ -184,7 +161,7 @@ class ServeLoop:
         if op == "stats":
             return {"ok": True, "op": "stats", "stats": self.session.stats()}
         if op == "snapshot":
-            if self._snapshot_path is None:
+            if self._state is None:
                 return {
                     "ok": False,
                     "op": "snapshot",
@@ -201,8 +178,8 @@ class ServeLoop:
         request_id = None if request_id is None else str(request_id)
         if (
             request_id is not None
-            and self._journal is not None
-            and self._journal.is_done(request_id)
+            and self._state is not None
+            and self._state.info(request_id) is not None
         ):
             obs.inc("serve.adds_skipped")
             return {
@@ -222,7 +199,7 @@ class ServeLoop:
         self._adds_since_snapshot += added
         if (
             self.snapshot_every
-            and self._snapshot_path is not None
+            and self._state is not None
             and self._adds_since_snapshot >= self.snapshot_every
         ):
             self._snapshot()
@@ -272,8 +249,7 @@ class ServeLoop:
 
         threading.Thread(target=_reader, daemon=True, name="serve-reader").start()
 
-        if self._lease is not None:
-            self._lease.acquire()
+        self.acquire_state()
         emit({"ok": True, "event": "ready", "records": len(self.session)})
         try:
             while True:
@@ -320,8 +296,7 @@ class ServeLoop:
         finally:
             if install_signals and previous_handler is not None:
                 signal.signal(signal.SIGTERM, previous_handler)
-        if self._lease is not None:
-            self._lease.release()
+        self.release_state()
         self.session.close()
         return 0
 

@@ -15,14 +15,11 @@ import pytest
 
 import repro.experiments.snapshot as snapshot_module
 from repro.experiments.cli import main
-from repro.experiments.runner import (
-    JOURNAL_NAME,
-    ExperimentRunner,
-    RunnerConfig,
-)
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.experiments.tables import DEGRADED_CELL, _f1_table
 from repro.experiments.report import render
 from repro.runtime import FailureRecord, faults
+from repro.runtime.state import RUNNER_STATE
 
 SCALE = 0.3
 DATASET = "Ds5"
@@ -115,7 +112,7 @@ class TestCheckpointResume:
         first.matcher_results(DATASET)
         assert first.journal is not None
         assert first.journal.is_done(f"sweep:{DATASET}")
-        assert (tmp_path / JOURNAL_NAME).exists()
+        assert (tmp_path / RUNNER_STATE.journal).exists()
 
         # "Restart": a fresh runner (fresh process state) over the same
         # cache dir. Arm a fault on the sweep site — if the unit were

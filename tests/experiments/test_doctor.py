@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
+
+import pytest
 
 from repro.experiments.cli import main
 from repro.runtime.cache import QUARANTINE_SUFFIX, write_envelope
-from repro.runtime.doctor import (
-    JOURNAL_NAME,
-    SCALE_JOURNAL_NAME,
-    SCALE_MANIFEST_NAME,
-    SERVE_JOURNAL_NAME,
-    SERVE_SNAPSHOT_NAME,
-    DoctorReport,
-    report_to_json,
-    run_doctor,
-)
+from repro.runtime.doctor import DoctorReport, report_to_json, run_doctor
 from repro.runtime.journal import CheckpointJournal
+from repro.runtime.state import (
+    LAYOUTS,
+    RUNNER_STATE,
+    SCALE_STATE,
+    SERVE_STATE,
+    StateDir,
+)
+
+JOURNAL_NAME = RUNNER_STATE.journal
 
 #: A pid no live process plausibly holds (far above default pid_max).
 DEAD_PID = 99999999
@@ -139,181 +142,125 @@ class TestRepair:
         assert not target.exists()
 
 
+#: Each case mutates a healthy two-unit state directory, then names the
+#: finding categories a check must report and the units a repair keeps:
+#: an entry whose envelope no longer verifies must recompute.
+BOTH = {"unit-0", "unit-1"}
+SCENARIOS = {
+    "healthy": (set(), BOTH),
+    "journal_without_envelope": ({"state"}, set()),
+    "envelope_without_journal": ({"state"}, set()),
+    "torn_journal": ({"journal"}, BOTH),
+    "corrupt_envelope": ({"cache", "state"}, set()),
+    "fingerprint_mismatch": ({"state"}, set()),
+}
+
+
+class TestStateDirAudit:
+    """One audit for every :class:`StateDir` user's directory layout."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: l.kind)
+    def test_repair(self, tmp_path, layout, scenario):
+        """A check reports the scenario; one repair pass heals it."""
+        state = StateDir(tmp_path / "state", layout, fingerprint="f1")
+        envelope = state.root / (layout.manifest or "suite_Ds5_f1.json")
+        state.open({} if layout.manifest else None)
+        state.commit(
+            {"unit-0": {}, "unit-1": {}},
+            envelope=envelope.name,
+            write=partial(write_envelope, payload={"fingerprint": "f1"}),
+        )
+        journal = state.journal.path
+        if scenario == "journal_without_envelope":
+            envelope.unlink()
+        elif scenario == "envelope_without_journal":
+            journal.unlink()
+        elif scenario == "torn_journal":
+            with journal.open("a", encoding="utf-8") as handle:
+                handle.write('{"unit": "unit-9", "torn')  # kill mid-append
+        elif scenario == "corrupt_envelope":
+            envelope.write_text("garbage", encoding="utf-8")
+        elif scenario == "fingerprint_mismatch":
+            write_envelope(envelope, {"fingerprint": "f2"})
+        expected, kept = SCENARIOS[scenario]
+        if scenario == "envelope_without_journal" and layout.manifest is None:
+            expected = set()  # a runner envelope is a plain cache entry
+        before = sorted(state.root.iterdir())
+
+        checked = run_doctor(state.root, check=True)
+        assert {f.category for f in checked.findings} == expected
+        assert sorted(state.root.iterdir()) == before  # check touches nothing
+
+        run_doctor(state.root)
+        assert run_doctor(state.root, check=True).clean  # one pass heals
+        assert CheckpointJournal(journal).completed == kept
+        if layout.manifest is not None and envelope.exists():
+            assert journal.exists()  # the manifest keeps its pair
+        if not journal.exists():
+            journal.touch()  # an empty journal alone is a fresh directory
+            assert run_doctor(state.root, check=True).clean
+
+
+def _orphaned_journal(tmp_path, layout, units):
+    """A state directory whose manifest is gone but whose journal is not."""
+    state = StateDir(tmp_path / "state", layout, fingerprint="f1")
+    state.open({})
+    if units:
+        state.commit({unit: {} for unit in units})
+    (state.root / layout.manifest).unlink()
+    return state
+
+
+def _assert_orphaned_entries_dropped(state, units):
+    """Check reports the orphans untouched; repair drops them, idempotently."""
+    journal = state.journal.path
+    journal_bytes = journal.read_bytes()
+    checked = run_doctor(state.root, check=True)
+    assert {f.category for f in checked.findings} == {"state"}
+    assert checked.findings[0].action.startswith("would drop")
+    assert journal.read_bytes() == journal_bytes
+    assert CheckpointJournal(journal).completed == set(units)
+
+    repaired = run_doctor(state.root)
+    assert not repaired.clean
+    assert not CheckpointJournal(journal).completed
+    assert run_doctor(state.root, check=True).clean  # idempotent
+
+
 class TestServeState:
-    """Auditing ``repro serve --state`` directories (PR-9 satellite)."""
-
-    @staticmethod
-    def _serve_state(tmp_path, *, snapshot=True, journal_entries=0):
-        state = tmp_path / "state"
-        state.mkdir()
-        if snapshot:
-            write_envelope(state / SERVE_SNAPSHOT_NAME, {"session": True})
-        journal = CheckpointJournal(state / SERVE_JOURNAL_NAME)
-        journal.path.touch(exist_ok=True)
-        for index in range(journal_entries):
-            journal.mark_done(f"add-{index}", records=index + 1)
-        return state
-
-    def test_healthy_pair_is_clean(self, tmp_path):
-        state = self._serve_state(tmp_path, journal_entries=2)
-        assert run_doctor(state, check=True).clean
+    """``repro serve --state`` directories: the snapshot is the manifest."""
 
     def test_journal_without_snapshot_is_deleted(self, tmp_path):
         # A journal entry means "covered by a snapshot"; with the
         # snapshot gone, replayed adds would be journal-skipped and the
-        # records silently lost — the journal must go so adds replay.
-        state = self._serve_state(tmp_path, snapshot=False, journal_entries=2)
-        checked = run_doctor(state, check=True)
-        assert {f.category for f in checked.findings} == {"serve"}
-        assert "would delete" in checked.findings[0].action
-        assert (state / SERVE_JOURNAL_NAME).exists()
-
-        repaired = run_doctor(state)
-        assert not repaired.clean
-        assert not (state / SERVE_JOURNAL_NAME).exists()
-        assert run_doctor(state, check=True).clean  # idempotent
+        # records silently lost, so the entries must go and adds replay.
+        units = ("add-0", "add-1")
+        state = _orphaned_journal(tmp_path, SERVE_STATE, units)
+        _assert_orphaned_entries_dropped(state, units)
 
     def test_empty_journal_without_snapshot_is_fine(self, tmp_path):
         # A fresh daemon that never snapshotted: journal touched at
         # init, zero entries — a legitimate layout, not torn state.
-        state = self._serve_state(tmp_path, snapshot=False)
-        assert run_doctor(state, check=True).clean
-
-    def test_snapshot_without_journal_gets_one(self, tmp_path):
-        state = self._serve_state(tmp_path)
-        (state / SERVE_JOURNAL_NAME).unlink()
-        checked = run_doctor(state, check=True)
-        assert {f.category for f in checked.findings} == {"serve"}
-        assert not (state / SERVE_JOURNAL_NAME).exists()
-
-        repaired = run_doctor(state)
-        assert not repaired.clean
-        assert (state / SERVE_JOURNAL_NAME).exists()
-        assert run_doctor(state, check=True).clean  # idempotent
-
-    def test_torn_serve_journal_compacts(self, tmp_path):
-        state = self._serve_state(tmp_path, journal_entries=2)
-        with (state / SERVE_JOURNAL_NAME).open(
-            "a", encoding="utf-8"
-        ) as handle:
-            handle.write('{"unit": "add-9", "torn')  # kill mid-append
-        repaired = run_doctor(state)
-        assert {f.category for f in repaired.findings} == {"journal"}
-        journal = CheckpointJournal(state / SERVE_JOURNAL_NAME)
-        assert journal.completed == {"add-0", "add-1"}
-        assert journal.torn_lines == 0
-        assert run_doctor(state, check=True).clean
-
-    def test_corrupt_snapshot_quarantined_and_journal_follows(self, tmp_path):
-        # A corrupt snapshot quarantines like any envelope; the next
-        # pass then sees a journal whose snapshot is gone and clears it.
-        state = self._serve_state(tmp_path, journal_entries=1)
-        (state / SERVE_SNAPSHOT_NAME).write_text("garbage", encoding="utf-8")
-        first = run_doctor(state)
-        assert "cache" in {f.category for f in first.findings}
-        assert not (state / SERVE_SNAPSHOT_NAME).exists()
-        second = run_doctor(state)
-        assert {f.category for f in second.findings} == {"serve"}
-        assert not (state / SERVE_JOURNAL_NAME).exists()
-        assert run_doctor(state, check=True).clean
+        state = _orphaned_journal(tmp_path, SERVE_STATE, ())
+        assert state.journal.path.exists()
+        assert run_doctor(state.root, check=True).clean
 
 
 class TestScaleState:
-    """Auditing ``repro scale-up`` state directories (PR-10 tentpole)."""
-
-    FINGERPRINT = "aaaa1111bbbb2222"
-
-    @classmethod
-    def _scale_state(
-        cls, tmp_path, *, manifest=True, shards=0, fingerprint=None
-    ):
-        fingerprint = fingerprint or cls.FINGERPRINT
-        state = tmp_path / "state"
-        state.mkdir(exist_ok=True)
-        if manifest:
-            write_envelope(
-                state / SCALE_MANIFEST_NAME,
-                {"fingerprint": cls.FINGERPRINT, "n_shards": max(shards, 1)},
-            )
-        journal = CheckpointJournal(state / SCALE_JOURNAL_NAME)
-        journal.path.touch(exist_ok=True)
-        for index in range(shards):
-            journal.mark_done(
-                f"scale:shard:{index:05d}", config=fingerprint, tp=index
-            )
-        return state
-
-    def test_healthy_pair_is_clean(self, tmp_path):
-        state = self._scale_state(tmp_path, shards=3)
-        assert run_doctor(state, check=True).clean
+    """``repro scale-up --state`` directories: shards need their manifest."""
 
     def test_journal_without_manifest_is_deleted(self, tmp_path):
         # Per-shard counts are meaningless without the config that
         # produced them; shards are deterministic and recompute.
-        state = self._scale_state(tmp_path, manifest=False, shards=2)
-        checked = run_doctor(state, check=True)
-        assert {f.category for f in checked.findings} == {"scale"}
-        assert "would delete" in checked.findings[0].action
-        assert (state / SCALE_JOURNAL_NAME).exists()
-
-        repaired = run_doctor(state)
-        assert not repaired.clean
-        assert not (state / SCALE_JOURNAL_NAME).exists()
-        assert run_doctor(state, check=True).clean  # idempotent
+        units = ("scale:shard:00000", "scale:shard:00001")
+        state = _orphaned_journal(tmp_path, SCALE_STATE, units)
+        _assert_orphaned_entries_dropped(state, units)
 
     def test_empty_journal_without_manifest_is_fine(self, tmp_path):
-        state = self._scale_state(tmp_path, manifest=False)
-        assert run_doctor(state, check=True).clean
-
-    def test_fingerprint_mismatch_deletes_journal(self, tmp_path):
-        state = self._scale_state(tmp_path, shards=2, fingerprint="stale")
-        checked = run_doctor(state, check=True)
-        assert {f.category for f in checked.findings} == {"scale"}
-        assert "different config" in checked.findings[0].problem
-
-        repaired = run_doctor(state)
-        # The stale journal is deleted; the manifest audit later in the
-        # same walk re-materializes an empty one (the healthy pairing).
-        assert not CheckpointJournal(state / SCALE_JOURNAL_NAME).completed
-        assert run_doctor(state, check=True).clean
-
-    def test_manifest_without_journal_gets_one(self, tmp_path):
-        state = self._scale_state(tmp_path)
-        (state / SCALE_JOURNAL_NAME).unlink()
-        checked = run_doctor(state, check=True)
-        assert {f.category for f in checked.findings} == {"scale"}
-        assert not (state / SCALE_JOURNAL_NAME).exists()
-
-        repaired = run_doctor(state)
-        assert (state / SCALE_JOURNAL_NAME).exists()
-        assert run_doctor(state, check=True).clean
-
-    def test_torn_scale_journal_compacts(self, tmp_path):
-        state = self._scale_state(tmp_path, shards=2)
-        with (state / SCALE_JOURNAL_NAME).open(
-            "a", encoding="utf-8"
-        ) as handle:
-            handle.write('{"unit": "scale:shard:0000')  # kill mid-append
-        repaired = run_doctor(state)
-        assert {f.category for f in repaired.findings} == {"journal"}
-        journal = CheckpointJournal(state / SCALE_JOURNAL_NAME)
-        assert journal.completed == {"scale:shard:00000", "scale:shard:00001"}
-        assert journal.torn_lines == 0
-        assert run_doctor(state, check=True).clean
-
-    def test_corrupt_manifest_quarantined_then_journal_follows(self, tmp_path):
-        state = self._scale_state(tmp_path, shards=1)
-        (state / SCALE_MANIFEST_NAME).write_text("garbage", encoding="utf-8")
-        first = run_doctor(state)
-        categories = {f.category for f in first.findings}
-        # The unreadable manifest already orphans the journal this pass.
-        assert "scale" in categories or "cache" in categories
-        assert not (state / SCALE_MANIFEST_NAME).exists()
-        run_doctor(state)
-        assert not (state / SCALE_JOURNAL_NAME).exists() or not CheckpointJournal(
-            state / SCALE_JOURNAL_NAME
-        ).completed
-        assert run_doctor(state, check=True).clean
+        state = _orphaned_journal(tmp_path, SCALE_STATE, ())
+        assert state.journal.path.exists()
+        assert run_doctor(state.root, check=True).clean
 
 
 class TestReportSurface:

@@ -17,7 +17,6 @@ from repro.runtime.chaos import (
     ChaosCampaign,
     FaultPlan,
     PlannedFault,
-    check_crash_consistency,
     count_unexplained_degradations,
     default_kill_sites,
     default_site_pool,
@@ -267,14 +266,3 @@ class TestAcceptanceCampaign:
             f"{result.plan.describe()}: {result.divergences}"
             for result in report.divergent
         )
-
-    def test_crash_consistency_at_journal_append(self, tmp_path):
-        check = check_crash_consistency(
-            datasets=("Ds5",),
-            scale=0.3,
-            seed=0,
-            kill_site="journal:append",
-            workdir=tmp_path / "crash",
-        )
-        assert check.killed, check.kill_returncode
-        assert check.ok, check.divergences

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -11,10 +15,10 @@ from repro.data.pairs import LabeledPairSet, RecordPair
 from repro.datasets.generator import generate_shard
 from repro.matchers.esde import EsdeMatcher
 from repro.runtime.cache import read_envelope
+from repro.runtime.guard import LEASE_NAME
 from repro.runtime.journal import CheckpointJournal
+from repro.runtime.state import SCALE_STATE
 from repro.scale import (
-    SCALE_JOURNAL_NAME,
-    SCALE_MANIFEST_NAME,
     SCALE_REPORT_NAME,
     ScaleConfig,
     ShardedSweep,
@@ -136,7 +140,7 @@ class TestCheckpointResume:
     def test_torn_journal_tail_is_tolerated(self, config, clean_report, tmp_path):
         state_dir = tmp_path / "state"
         ShardedSweep(config, cache_dir=state_dir).run(max_shards=3)
-        with (state_dir / SCALE_JOURNAL_NAME).open(
+        with (state_dir / SCALE_STATE.journal).open(
             "a", encoding="utf-8"
         ) as handle:
             handle.write('{"unit": "scale:shard:0000')  # SIGKILL mid-append
@@ -167,16 +171,69 @@ class TestCheckpointResume:
         report = ShardedSweep(other, cache_dir=state_dir).run()
         assert report.resumed_shards == 0
         assert report.complete
-        manifest = read_envelope(state_dir / SCALE_MANIFEST_NAME)
+        manifest = read_envelope(state_dir / SCALE_STATE.manifest)
         assert manifest["fingerprint"] == config_fingerprint(other)
 
     def test_journal_entries_carry_the_fingerprint(self, config, tmp_path):
         state_dir = tmp_path / "state"
         ShardedSweep(config, cache_dir=state_dir).run(max_shards=1)
-        journal = CheckpointJournal(state_dir / SCALE_JOURNAL_NAME)
+        journal = CheckpointJournal(state_dir / SCALE_STATE.journal)
         assert len(journal) >= 2  # the fit and at least one shard
         for unit in journal.completed:
-            assert journal.info(unit)["config"] == config_fingerprint(config)
+            assert journal.info(unit)["fingerprint"] == config_fingerprint(config)
+
+
+class TestStateLease:
+    def test_second_sweep_never_resets_a_held_directory(
+        self, config, clean_report, tmp_path, monkeypatch
+    ):
+        state_dir, reports = tmp_path / "state", {}
+        first = ShardedSweep(config, cache_dir=state_dir)
+        paused, proceed = threading.Event(), threading.Event()
+        run_shard = first._run_shard
+
+        def pausing_run_shard(index, *args):
+            if index == 1:
+                paused.set()
+                proceed.wait(60)
+            return run_shard(index, *args)
+
+        def run(name, sweep):
+            thread = threading.Thread(
+                target=lambda: reports.update({name: sweep.run()})
+            )
+            thread.start()
+            return thread
+
+        monkeypatch.setattr(first, "_run_shard", pausing_run_shard)
+        threads = [run("first", first)]
+        try:
+            assert paused.wait(60)  # the first sweep holds the lease
+            journal = (state_dir / SCALE_STATE.journal).read_bytes()
+            other = dataclasses.replace(config, seed=config.seed + 1)
+            threads.append(run("second", ShardedSweep(other, cache_dir=state_dir)))
+            time.sleep(0.5)
+            # The second sweep waits for the lease instead of discarding
+            # the holder's journal and manifest under it.
+            assert (state_dir / SCALE_STATE.journal).read_bytes() == journal
+            manifest = read_envelope(state_dir / SCALE_STATE.manifest)
+            assert manifest["fingerprint"] == config_fingerprint(config)
+        finally:
+            proceed.set()
+            for thread in threads:
+                thread.join(120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reports["first"].state() == clean_report.state()
+        assert reports["second"].complete and reports["second"].resumed_shards == 0
+
+        # perfbench's scale-shards sequence in one process: a fit-only run,
+        # then a fresh sweep object on the same directory. It only gets
+        # the lease if run() released it on exit.
+        fit_dir = tmp_path / "fit"
+        ShardedSweep(config, cache_dir=fit_dir).run(max_shards=0)
+        resumed = ShardedSweep(config, cache_dir=fit_dir).run()
+        assert resumed.state() == clean_report.state()
+        assert not (fit_dir / LEASE_NAME).exists()
 
 
 class TestReportState:

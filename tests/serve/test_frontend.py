@@ -11,9 +11,10 @@ import pytest
 from repro import obs
 from repro.datasets.generator import build_task_from_sources
 from repro.runtime import faults
+from repro.runtime.state import SERVE_STATE
 from repro.serve import FrontendConfig, SocketFrontend, open_session
 from repro.serve.frontend import AdmissionQueue, _Admitted
-from repro.serve.loop import JOURNAL_NAME, SNAPSHOT_NAME, ServeLoop
+from repro.serve.loop import ServeLoop
 
 
 @pytest.fixture(scope="module")
@@ -369,12 +370,12 @@ class TestOverTheWire:
             sock.close()
         finally:
             frontend.stop()
-        assert (state / SNAPSHOT_NAME).exists()
-        assert (state / JOURNAL_NAME).exists()
+        assert (state / SERVE_STATE.manifest).exists()
+        assert (state / SERVE_STATE.journal).exists()
         assert not list(state.glob("*.tmp*"))
         from repro.serve import MatcherSession
 
-        restored = MatcherSession.load(state / SNAPSHOT_NAME)
+        restored = MatcherSession.load(state / SERVE_STATE.manifest)
         assert "drained-record" in restored._records
 
     def test_write_fault_disconnects_only_that_client(self, frontend_task):

@@ -27,6 +27,7 @@ from repro.runtime.chaos import (
     frontend_site_pool,
     generate_frontend_plans,
 )
+from repro.runtime.state import SERVE_STATE
 from repro.serve import FrontendConfig, MatcherSession, SocketFrontend, open_session
 from repro.serve.chaos import (
     RetryClient,
@@ -34,7 +35,7 @@ from repro.serve.chaos import (
     record_payload,
     run_frontend_campaign,
 )
-from repro.serve.loop import SNAPSHOT_NAME, ServeLoop
+from repro.serve.loop import ServeLoop
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +327,7 @@ class TestKillDuringBatch:
                 proc.kill()
             proc.communicate(timeout=30)
 
-        restored = MatcherSession.load(state / SNAPSHOT_NAME)
+        restored = MatcherSession.load(state / SERVE_STATE.manifest)
         from repro.data.records import Record
 
         offline = restored.query(

@@ -15,8 +15,9 @@ import pytest
 from repro import obs
 from repro.datasets.generator import build_task_from_sources
 from repro.runtime import faults
+from repro.runtime.state import SERVE_STATE
 from repro.serve import MatcherSession, open_session
-from repro.serve.loop import JOURNAL_NAME, SNAPSHOT_NAME, ServeLoop
+from repro.serve.loop import ServeLoop
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +151,10 @@ class TestDurability:
         )
         assert responses[1]["added"] == 4
         assert responses[2]["ok"]
-        assert (state / SNAPSHOT_NAME).exists()
-        assert (state / JOURNAL_NAME).exists()
+        assert (state / SERVE_STATE.manifest).exists()
+        assert (state / SERVE_STATE.journal).exists()
 
-        restored = MatcherSession.load(state / SNAPSHOT_NAME)
+        restored = MatcherSession.load(state / SERVE_STATE.manifest)
         assert len(restored) == len(loop_task.right) + 4
         result = restored.query(record_payload_record(donors[0], "probe"))
         assert "r0" in result.candidates.ids
@@ -172,7 +173,7 @@ class TestDurability:
         )
         # Same request replayed against a resumed session: the journal
         # marks it done (the snapshot covers it), so it is skipped.
-        resumed = MatcherSession.load(state / SNAPSHOT_NAME)
+        resumed = MatcherSession.load(state / SERVE_STATE.manifest)
         responses = run_requests(resumed, [add], state_dir=state)
         assert responses[1]["skipped"]
         assert responses[1]["added"] == 0
@@ -191,7 +192,7 @@ class TestDurability:
         run_requests(
             session, [add, {"op": "snapshot"}], state_dir=state
         )
-        resumed = MatcherSession.load(state / SNAPSHOT_NAME)
+        resumed = MatcherSession.load(state / SERVE_STATE.manifest)
         responses = run_requests(resumed, [add], state_dir=state)
         assert responses[1]["ok"]
         assert responses[1]["added"] == 0
@@ -207,7 +208,7 @@ class TestDurability:
             state_dir=state,
         )
         # No explicit snapshot op: the drain-time snapshot covers it.
-        restored = MatcherSession.load(state / SNAPSHOT_NAME)
+        restored = MatcherSession.load(state / SERVE_STATE.manifest)
         assert "late" in restored._records
 
 
@@ -247,7 +248,7 @@ class TestSigtermOrdering:
         # The mid-snapshot SIGTERM hit the loop's own (still installed)
         # handler, not whatever was there before.
         assert hits == []
-        assert (state / SNAPSHOT_NAME).exists()
+        assert (state / SERVE_STATE.manifest).exists()
         assert not list(state.glob("*.tmp*"))
 
 
@@ -313,67 +314,3 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
             proc.communicate(timeout=30)
-
-
-@pytest.mark.slow
-@pytest.mark.fault_smoke
-class TestChaosKill:
-    def test_kill_fault_then_resume_from_state(self, tmp_path):
-        state = tmp_path / "state"
-        proc = _start_serve(
-            tmp_path,
-            "--state",
-            str(state),
-            "--snapshot-every",
-            "1",
-            "--inject",
-            "serve:request=kill:1",
-        )
-        try:
-            ready = _read_response(proc)
-            assert ready["event"] == "ready"
-            # First request trips the armed kill fault: SIGKILL, no
-            # drain, no exit-zero — but the startup snapshot path never
-            # ran, so the state directory only holds the lease.
-            _send(proc, {"op": "stats"})
-            assert proc.wait(timeout=60) == -signal.SIGKILL
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.communicate(timeout=30)
-
-        # Restart against the same state directory: the stale lease is
-        # broken (owner pid dead), the session refits and serving
-        # resumes; adds snapshot and survive a second restart.
-        proc = _start_serve(
-            tmp_path, "--state", str(state), "--snapshot-every", "1"
-        )
-        try:
-            assert _read_response(proc)["event"] == "ready"
-            _send(
-                proc,
-                {
-                    "op": "add",
-                    "id": "a1",
-                    "records": [
-                        {
-                            "record_id": "chaos_1",
-                            "source": "right",
-                            "values": {"title": "resilient record"},
-                        }
-                    ],
-                },
-            )
-            response = _read_response(proc)
-            assert response["ok"] and response["added"] == 1
-            _send(proc, {"op": "shutdown"})
-            assert _read_response(proc)["ok"]
-            assert _read_response(proc)["event"] == "drained"
-            assert proc.wait(timeout=60) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.communicate(timeout=30)
-
-        restored = MatcherSession.load(state / SNAPSHOT_NAME)
-        assert "chaos_1" in restored._records
