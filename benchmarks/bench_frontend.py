@@ -1,19 +1,21 @@
 """Socket front-end benchmark: overload shedding and admitted tail latency.
 
-Starts a :class:`~repro.serve.frontend.SocketFrontend` over the same
-dblp_scholar task :mod:`benchmarks.bench_serve` uses, then drives it at
-two operating points and records to ``BENCH_frontend.json``:
+Starts a :class:`~repro.serve.frontend.SocketFrontend` over a session
+on dblp_scholar at CI scale, then drives it at two operating points and
+prints the measured record:
 
 * **1x** — one closed-loop client: baseline throughput and p99 latency;
 * **4x** — several concurrent closed-loop clients against a deliberately
   small admission queue: sustained overload.
 
-The acceptance contract (ISSUE 9): under ~4x load the front end sheds
-excess requests with structured ``overloaded`` responses instead of
-queuing unboundedly or crashing, the *admitted* query p99 stays within
-``P99_RATIO_CEILING`` of the 1x p99 (admission control protects the work
-it accepts), and every admitted answer is bit-identical to the offline
-session's answer for the same probe.
+The acceptance contract: under ~4x load the front end sheds excess
+requests with structured ``overloaded`` responses instead of queuing
+unboundedly or crashing, no request fails hard, the *admitted* query
+p99 stays within ``P99_RATIO_CEILING`` of the 1x p99 (admission control
+protects the work it accepts), and every admitted answer is
+bit-identical to the offline session's answer for the same probe::
+
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_frontend.py
 """
 
 from __future__ import annotations
@@ -23,16 +25,12 @@ import os
 import socket
 import threading
 import time
-from pathlib import Path
-
-import pytest
 
 from repro.datasets.generator import build_task_from_sources
 from repro.datasets.sources import build_source_pair
 from repro.serve import FrontendConfig, SocketFrontend, open_session
 from repro.serve.loop import ServeLoop
 
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_frontend.json"
 DATASET = "dblp_scholar"
 SCALE = 1.0
 SEED = 0
@@ -91,7 +89,6 @@ def _run_client(address: str, requests: list[dict], out: dict) -> None:
     out[threading.get_ident()] = latencies
 
 
-@pytest.mark.frontend_bench
 def test_frontend_sheds_under_overload_with_bounded_admitted_p99():
     sources = build_source_pair(DATASET, SCALE)
     task = build_task_from_sources(
@@ -226,9 +223,6 @@ def test_frontend_sheds_under_overload_with_bounded_admitted_p99():
         "batches": stats["counts"]["batches"],
         "cpu_count": os.cpu_count(),
     }
-    RECORD_PATH.write_text(
-        json.dumps(record, indent=2) + "\n", encoding="utf-8"
-    )
     print()
     print(json.dumps(record, indent=2))
 

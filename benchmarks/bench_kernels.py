@@ -16,11 +16,12 @@ and compares two implementations of identical semantics:
   ``feature_column`` fast path for predict.
 
 Both paths must produce bit-identical features (asserted here, and more
-exhaustively in ``tests/matchers/test_feature_parity.py``). Results go
-to ``BENCH_kernels.json`` in the repository root. DESIGN.md §9 budgets
-the vectorized flow at a ≥5x speedup for the q-gram profiles (SAQ/SBQ);
-the assertion applies to the best rep of each side, interleaved to
-absorb machine drift.
+exhaustively in ``tests/matchers/test_feature_parity.py``). DESIGN.md §9
+budgets the vectorized flow at a ≥5x speedup for the q-gram profiles
+(SAQ/SBQ); the assertion applies to the best rep of each side,
+interleaved to absorb machine drift. The measured record is printed::
+
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro.data.task import MatchingTask
 from repro.datasets import load_established_task
 from repro.matchers.features import EsdeFeatureExtractor
 
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 DATASET = "Ds2"
 VARIANTS = ("SAQ", "SBQ")
 CANDIDATES_PER_LEFT = 25
@@ -138,9 +137,6 @@ def test_kernel_speedup():
         "speedup_floor": SPEEDUP_FLOOR,
         "variants": results,
     }
-    RECORD_PATH.write_text(
-        json.dumps(record, indent=2) + "\n", encoding="utf-8"
-    )
     print()
     print(json.dumps(record, indent=2))
 

@@ -669,6 +669,16 @@ def _serve_command(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    finally:
+        # A runner attaches the process-wide trace collector to its
+        # cache's trace file; detach it so a later command in the same
+        # process never appends its spans there.
+        obs.active().trace.detach_file()
+
+
+def _run_command(args) -> int:
     # The runner collects failures itself; start the process-wide fallback
     # registry empty so repeated in-process invocations don't accumulate.
     clear_recorded_failures()
@@ -702,7 +712,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "scale-up":
         return _scale_command(cache_dir, args)
 
-    if cache_dir is not None and args.experiment not in ("list",):
+    if args.experiment == "list":
+        print(
+            "experiments:",
+            ", ".join(
+                [*_TABLES, *_FIGURES, "blocking", "verdicts", "audit",
+                 "snapshot", "serve", "scale-up", "trace"]
+            ),
+        )
+        print("established datasets:", ", ".join(ESTABLISHED_DATASET_IDS))
+        print("source datasets:", ", ".join(SOURCE_DATASET_IDS))
+        return 0
+
+    if cache_dir is not None:
         problem = check_cache_dir_writable(cache_dir)
         if problem is not None:
             print(f"error: {problem}")
@@ -729,18 +751,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.profile:
         runner.obs.profiler.start()
-
-    if args.experiment == "list":
-        print(
-            "experiments:",
-            ", ".join(
-                [*_TABLES, *_FIGURES, "blocking", "verdicts", "audit",
-                 "snapshot", "serve", "scale-up", "trace"]
-            ),
-        )
-        print("established datasets:", ", ".join(ESTABLISHED_DATASET_IDS))
-        print("source datasets:", ", ".join(SOURCE_DATASET_IDS))
-        return 0
 
     if args.experiment == "audit":
         if args.dataset is None:

@@ -6,7 +6,7 @@ this package makes a regeneration *legible* — where the wall-clock goes
 (:mod:`~repro.obs.metrics`), and which units are hottest
 (:mod:`~repro.obs.probe`) — without adding a dependency or measurable
 overhead (DESIGN.md §8 budgets ≤2%, enforced by
-``benchmarks/bench_obs.py``).
+``benchmarks/bench_overhead.py``).
 
 One :class:`Observability` instance bundles a trace collector, a metrics
 registry and the probe list. A process-wide instance is active by
@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     SNAPSHOT_KEYS,
     LatencyHistogram,
     MetricsRegistry,
-    TimerStat,
     is_metrics_snapshot,
 )
 from repro.obs.probe import PhaseAccumulator, Probe, SamplingProfiler
@@ -51,7 +50,6 @@ __all__ = [
     "Probe",
     "SamplingProfiler",
     "Span",
-    "TimerStat",
     "TraceCollector",
     "activate",
     "active",

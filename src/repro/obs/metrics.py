@@ -10,8 +10,8 @@ Three instrument kinds:
 
 * **counter** — monotonically increasing float/int (``inc``);
 * **gauge** — last-write-wins value (``gauge``);
-* **timer** — a histogram summary of observed durations: count, total,
-  min, max (``observe`` / ``time``).
+* **timer** — a :class:`LatencyHistogram` of observed durations:
+  count, total, min, max and p50/p90/p99 (``observe`` / ``time``).
 
 ``snapshot()`` returns a plain, JSON-ready dict with sorted keys, so two
 runs that did the same work produce byte-identical snapshots (timer
@@ -24,42 +24,12 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
 
 #: The exact top-level keys of a metrics snapshot dict.  The unified
 #: :func:`repro.experiments.report.render` dispatcher uses this to tell a
 #: metrics snapshot apart from a figure series (both are dicts of dicts).
 SNAPSHOT_KEYS = ("counters", "gauges", "timers")
-
-
-@dataclass
-class TimerStat:
-    """Histogram summary of one timer: count/total/min/max seconds."""
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        self.minimum = min(self.minimum, seconds)
-        self.maximum = max(self.maximum, seconds)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total": round(self.total, 6),
-            "mean": round(self.mean, 6),
-            "min": round(self.minimum, 6) if self.count else 0.0,
-            "max": round(self.maximum, 6),
-        }
 
 
 class MetricsRegistry:
@@ -75,7 +45,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._timers: dict[str, TimerStat] = {}
+        self._timers: dict[str, LatencyHistogram] = {}
 
     # -- instruments -------------------------------------------------------
 
@@ -98,7 +68,7 @@ class MetricsRegistry:
         if not self.enabled:
             return
         with self._lock:
-            self._timers.setdefault(name, TimerStat()).observe(seconds)
+            self._timers.setdefault(name, LatencyHistogram()).observe(seconds)
 
     @contextmanager
     def time(self, name: str) -> Iterator[None]:
@@ -147,18 +117,19 @@ class MetricsRegistry:
 class LatencyHistogram:
     """Log-bucketed latency histogram with p50/p99 quantile estimates.
 
-    :class:`TimerStat` keeps count/total/min/max only — enough for
-    throughput accounting, useless for tail latency. This histogram
-    buckets observations on a geometric grid from ``lowest`` seconds
-    (everything below lands in bucket 0) with ``growth`` spacing, so a
-    few hundred ints cover nanoseconds to minutes at ≤5% relative error
-    per bucket. Quantiles interpolate inside the winning bucket.
-    Serving loops keep one per phase (block / extract / predict) and
-    render them next to the registry snapshot; ``to_dict`` is JSON-ready
-    and deterministic for a fixed observation multiset.
+    Keeps the exact count/total/min/max of its observations and buckets
+    them on a geometric grid from ``lowest`` seconds (everything below
+    lands in bucket 0) with ``growth`` spacing, so a few hundred ints
+    cover nanoseconds to minutes at ≤5% relative error per bucket.
+    Quantiles interpolate inside the winning bucket. Every registry
+    timer is one; serving loops also keep one per phase (block /
+    extract / predict). ``to_dict`` is JSON-ready and deterministic for
+    a fixed observation multiset.
     """
 
-    __slots__ = ("lowest", "growth", "_counts", "_stat")
+    __slots__ = (
+        "lowest", "growth", "_counts", "count", "total", "minimum", "maximum"
+    )
 
     def __init__(self, lowest: float = 1e-6, growth: float = 1.1) -> None:
         if lowest <= 0:
@@ -168,10 +139,13 @@ class LatencyHistogram:
         self.lowest = lowest
         self.growth = growth
         self._counts: dict[int, int] = {}
-        self._stat = TimerStat()
+        self.count = 0
+        self.total = 0.0
+        self.minimum = float("inf")
+        self.maximum = 0.0
 
     def __len__(self) -> int:
-        return self._stat.count
+        return self.count
 
     def _bucket(self, seconds: float) -> int:
         if seconds <= self.lowest:
@@ -182,7 +156,10 @@ class LatencyHistogram:
         return self.lowest * self.growth**bucket
 
     def observe(self, seconds: float) -> None:
-        self._stat.observe(seconds)
+        self.count += 1
+        self.total += seconds
+        self.minimum = min(self.minimum, seconds)
+        self.maximum = max(self.maximum, seconds)
         bucket = self._bucket(seconds)
         self._counts[bucket] = self._counts.get(bucket, 0) + 1
 
@@ -190,7 +167,7 @@ class LatencyHistogram:
         """The estimated ``fraction`` quantile in seconds (0 when empty)."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        count = self._stat.count
+        count = self.count
         if count == 0:
             return 0.0
         rank = fraction * (count - 1)
@@ -202,8 +179,12 @@ class LatencyHistogram:
                 low = self._edge(bucket - 1) if bucket else 0.0
                 high = self._edge(bucket)
                 estimate = (low + high) / 2.0
-                return min(max(estimate, self._stat.minimum), self._stat.maximum)
-        return self._stat.maximum
+                return min(max(estimate, self.minimum), self.maximum)
+        return self.maximum
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
 
     @property
     def p50(self) -> float:
@@ -215,11 +196,16 @@ class LatencyHistogram:
 
     def to_dict(self) -> dict[str, float]:
         """JSON-ready summary: count/mean/min/max plus p50/p90/p99."""
-        summary = self._stat.to_dict()
-        summary["p50"] = round(self.quantile(0.50), 6)
-        summary["p90"] = round(self.quantile(0.90), 6)
-        summary["p99"] = round(self.quantile(0.99), 6)
-        return summary
+        return {
+            "count": self.count,
+            "total": round(self.total, 6),
+            "mean": round(self.mean, 6),
+            "min": round(self.minimum, 6) if self.count else 0.0,
+            "max": round(self.maximum, 6),
+            "p50": round(self.quantile(0.50), 6),
+            "p90": round(self.quantile(0.90), 6),
+            "p99": round(self.quantile(0.99), 6),
+        }
 
 
 def is_metrics_snapshot(artifact: object) -> bool:

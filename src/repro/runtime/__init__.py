@@ -27,7 +27,7 @@ pieces the experiment layer builds on:
 * :mod:`repro.runtime.chaos` — seeded chaos campaigns
   (:class:`ChaosCampaign`) asserting verdicts survive randomized
   multi-site fault plans, plus the SIGKILL-based crash-consistency
-  checker (:func:`check_crash_consistency`) and the plan shrinker.
+  checker (:func:`check_crash_consistency`).
 * :mod:`repro.runtime.state` — :class:`~repro.runtime.state.StateDir`,
   the one durable-state primitive of the runner, ``serve --state`` and
   ``scale-up --state``: a lease, a journal and the envelopes it trusts,
@@ -71,7 +71,6 @@ from repro.runtime.chaos import (
     PlanResult,
     check_crash_consistency,
     generate_plans,
-    shrink_plan,
 )
 from repro.runtime.doctor import (
     DoctorFinding,
@@ -145,6 +144,5 @@ __all__ = [
     "recorded_failures",
     "reset_global_degradations",
     "run_doctor",
-    "shrink_plan",
     "write_envelope",
 ]

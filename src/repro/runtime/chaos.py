@@ -4,7 +4,7 @@ The reproduction's central claim — benchmark verdicts are stable
 properties of dataset difficulty — only holds operationally if a sweep
 that crashes, is killed, or hits corrupted state resumes to the *same*
 verdicts as a clean run. This module turns that property into an
-executable assertion, three ways:
+executable assertion, two ways:
 
 * :class:`ChaosCampaign` — runs a seeded schedule of randomized
   multi-site :class:`FaultPlan`\\ s (drawn from the experiment layer's
@@ -19,9 +19,6 @@ executable assertion, three ways:
   process at a fault-site-triggered point (the ``kill`` fault kind),
   resumes from journal + cache, and diffs the final sweep state against
   an uninterrupted control run.
-* :func:`shrink_plan` — greedy delta-debugging: reduces a failing plan to
-  a minimal reproducer by dropping faults one at a time while the
-  predicate still fails.
 
 Everything is seeded: the same ``(seed, n_plans, sites)`` generates the
 same schedule, and each plan's faults use seeded pass probabilities, so a
@@ -37,9 +34,9 @@ import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro import obs
 from repro.runtime import faults
@@ -218,16 +215,10 @@ def frontend_site_pool() -> tuple[PlannedFault, ...]:
     )
 
 
-#: The one site where a kill plan murders a serving daemon: mid-coalesced
-#: batch, where a crash is most entangled across clients.
-FRONTEND_KILL_SITES = ("frontend:batch",)
-
-
 def generate_frontend_plans(
     n_plans: int,
     seed: int,
     *,
-    n_kill_plans: int = 0,
     max_faults_per_plan: int = 2,
 ) -> tuple[FaultPlan, ...]:
     """A seeded schedule over the socket front-end fault sites."""
@@ -235,8 +226,6 @@ def generate_frontend_plans(
         n_plans,
         seed,
         frontend_site_pool(),
-        kill_sites=FRONTEND_KILL_SITES if n_kill_plans else (),
-        n_kill_plans=n_kill_plans,
         max_faults_per_plan=max_faults_per_plan,
     )
 
@@ -738,34 +727,3 @@ def check_crash_consistency(
     finally:
         if owns_workdir:
             shutil.rmtree(base, ignore_errors=True)
-
-
-# -- plan shrinking --------------------------------------------------------
-
-
-def shrink_plan(
-    plan: FaultPlan, still_fails: Callable[[FaultPlan], bool]
-) -> FaultPlan:
-    """Reduce a failing plan to a minimal reproducer (greedy ddmin).
-
-    Repeatedly tries dropping one fault at a time; whenever the reduced
-    plan still fails, shrinking restarts from it. The result is
-    1-minimal: removing any single remaining fault makes the failure
-    disappear. ``still_fails`` is the caller's replay predicate (it
-    should re-run the plan and return True when the divergence is still
-    observed).
-    """
-    current = plan
-    progress = True
-    while progress and len(current.faults) > 1:
-        progress = False
-        for index in range(len(current.faults)):
-            reduced = replace(
-                current,
-                faults=current.faults[:index] + current.faults[index + 1 :],
-            )
-            if still_fails(reduced):
-                current = reduced
-                progress = True
-                break
-    return current

@@ -14,10 +14,11 @@ a deployment whose matching behaviour is exactly reproducible.
 :func:`~repro.runtime.chaos.frontend_site_pool`, and drives a scripted
 client (adds, then queries, reconnect-and-retry on any failure) over
 real TCP. Divergence = an admitted ``ok`` answer differing from the
-offline baseline, or a final record count that drifted. Kill plans
-(``frontend:batch=kill``) SIGKILL the hosting process by design, so they
-are rejected here and exercised through the subprocess CLI path instead
-(see ``tests/serve/test_frontend_chaos.py`` and ``scripts/verify.sh``).
+offline baseline, or a final record count that drifted. A SIGKILL
+(``--inject frontend:batch=kill``) ends the hosting process, so it is
+exercised through the subprocess CLI path instead (see
+``tests/serve/test_frontend_chaos.py`` and
+``tests/runtime/test_crash_consistency.py``).
 """
 
 from __future__ import annotations
@@ -194,11 +195,6 @@ def run_frontend_plan(
     query every probe, retrying each request through transient failures.
     Every answered query must match ``baseline`` bit-for-bit.
     """
-    if plan.kill_site is not None:
-        raise ValueError(
-            "kill plans SIGKILL the hosting process; run them through the "
-            "subprocess CLI path, not in-process"
-        )
     if baseline is None:
         baseline = offline_baseline(session_factory(), donors, probes, k)
     session = session_factory()

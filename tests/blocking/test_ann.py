@@ -16,6 +16,7 @@ from repro.blocking import (
 )
 from repro.data.records import RecordStore, Schema
 from repro.datasets.generator import SourcePair
+from repro.datasets.sources import build_source_pair
 from repro.text.kernels import (
     EMPTY_SIGNATURE,
     band_keys,
@@ -286,6 +287,23 @@ class TestTuneAnn:
         )
         tuned = tune_ann(sources, recall_target=0.9)
         assert tuned.pair_completeness == 1.0
+
+    def test_largest_profile_meets_recall_and_cost_floors(self):
+        # The largest generated profile at CI scale (629 x 2377 records):
+        # tuned LSH must reach PC >= 0.9 with >= 10x fewer candidates
+        # than the exhaustive q-gram baseline, and the winning config
+        # must rebuild the same candidate set from a fresh blocker.
+        sources = build_source_pair("dblp_scholar", 1.0)
+        tuned = tune_ann(sources, recall_target=0.9, seed=0)
+        lsh = evaluate_blocking(
+            AnnBlocker(tuned.config).candidates(sources), sources
+        )
+        exhaustive = evaluate_blocking(
+            QGramBlocker(q=3).candidates(sources), sources
+        )
+        assert lsh.candidates == tuned.result.candidates
+        assert lsh.pair_completeness >= 0.9
+        assert exhaustive.n_candidates >= 10 * lsh.n_candidates
 
     def test_invalid_args(self, small_sources):
         with pytest.raises(ValueError):

@@ -38,6 +38,28 @@ class TestCli:
         assert main(args[:-2]) == 0
         assert "resumed from the journal" in capsys.readouterr().out
 
+    def test_commands_leave_no_trace_file_attached(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # `list` builds no runner, and a runner's trace file is detached
+        # when its command returns: a later command in the same process
+        # must not append its spans to the default or an earlier cache.
+        monkeypatch.chdir(tmp_path)
+
+        def scale_up(cache: str) -> int:
+            return main(
+                ["scale-up", "Ds2", "--records", "600", "--shard-size",
+                 "150", "--cache", cache]
+            )
+
+        assert main(["list"]) == 0
+        assert scale_up("first") == 0
+        assert not (tmp_path / ".benchcache").exists()
+        assert main(["audit", "--cache", "earlier"]) == 2
+        assert scale_up("second") == 0
+        assert not (tmp_path / "earlier" / "trace.jsonl").exists()
+        capsys.readouterr()
+
     def test_scale_up_rejects_bad_config(self, capsys, tmp_path):
         assert main(
             ["scale-up", "Ds2", "--records", "600", "--matcher", "SAS",

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.metrics import MetricsRegistry, TimerStat, is_metrics_snapshot
+from repro.obs.metrics import (
+    LatencyHistogram,
+    MetricsRegistry,
+    is_metrics_snapshot,
+)
 
 
 class TestInstruments:
@@ -40,10 +44,23 @@ class TestInstruments:
             pass
         assert registry.snapshot()["timers"]["unit"]["count"] == 1
 
+    def test_timer_reports_quantiles(self):
+        registry = MetricsRegistry()
+        for millis in range(1, 101):
+            registry.observe("query", millis / 1000.0)
+        stat = registry.snapshot()["timers"]["query"]
+        # Log buckets are within 10% of the true quantile.
+        assert abs(stat["p50"] - 0.050) <= 0.005
+        assert abs(stat["p90"] - 0.090) <= 0.009
+        assert abs(stat["p99"] - 0.099) <= 0.0099
+        assert stat["min"] <= stat["p50"] <= stat["p90"] <= stat["p99"]
+        assert stat["p99"] <= stat["max"]
+
     def test_empty_timer_reports_zero_min(self):
-        stat = TimerStat()
-        assert stat.count == 0
+        stat = LatencyHistogram()
+        assert len(stat) == 0
         assert stat.to_dict()["min"] == 0.0
+        assert stat.to_dict()["p99"] == 0.0
 
     def test_disabled_registry_is_inert(self):
         registry = MetricsRegistry(enabled=False)

@@ -1,6 +1,6 @@
-"""Tests for chaos campaigns, state diffing and plan shrinking.
+"""Tests for chaos campaigns and state diffing.
 
-The cheap parts (plan generation, diffing, shrinking) run everywhere.
+The cheap parts (plan generation, diffing) run everywhere.
 The in-process campaign smoke is marked ``fault_smoke``; the full
 acceptance campaign (20 plans including kill-resume child processes)
 is marked ``chaos`` and excluded from the default test run — invoke it
@@ -22,7 +22,6 @@ from repro.runtime.chaos import (
     default_site_pool,
     diff_sweep_states,
     generate_plans,
-    shrink_plan,
 )
 
 
@@ -171,43 +170,6 @@ class TestUnexplainedDegradations:
         assert count_unexplained_degradations(
             state, self._failures("sweep:Ds7")
         ) == 1
-
-
-class TestShrinkPlan:
-    def _plan(self, *sites):
-        return FaultPlan(
-            plan_id=0,
-            seed=0,
-            faults=tuple(PlannedFault(site, "error") for site in sites),
-        )
-
-    def test_shrinks_to_single_culprit(self):
-        plan = self._plan("a", "journal:append", "b", "c")
-
-        def still_fails(candidate: FaultPlan) -> bool:
-            return any(
-                planned.site == "journal:append" for planned in candidate.faults
-            )
-
-        shrunk = shrink_plan(plan, still_fails)
-        assert [planned.site for planned in shrunk.faults] == ["journal:append"]
-
-    def test_keeps_interacting_pair(self):
-        plan = self._plan("a", "b", "c")
-
-        def still_fails(candidate: FaultPlan) -> bool:
-            sites = {planned.site for planned in candidate.faults}
-            return {"a", "c"} <= sites
-
-        shrunk = shrink_plan(plan, still_fails)
-        assert {planned.site for planned in shrunk.faults} == {"a", "c"}
-
-    def test_single_fault_plan_is_already_minimal(self):
-        plan = self._plan("a")
-        calls = []
-        shrunk = shrink_plan(plan, lambda candidate: calls.append(1) or True)
-        assert shrunk == plan
-        assert calls == []  # nothing to drop, nothing replayed
 
 
 class TestCampaignSmoke:

@@ -22,11 +22,7 @@ import time
 import pytest
 
 from repro.datasets.generator import build_task_from_sources
-from repro.runtime.chaos import (
-    FRONTEND_KILL_SITES,
-    frontend_site_pool,
-    generate_frontend_plans,
-)
+from repro.runtime.chaos import frontend_site_pool, generate_frontend_plans
 from repro.runtime.state import SERVE_STATE
 from repro.serve import FrontendConfig, MatcherSession, SocketFrontend, open_session
 from repro.serve.chaos import (
@@ -59,25 +55,14 @@ def session_snapshot(chaos_task, tmp_path_factory):
 
 class TestFrontendPlans:
     def test_schedule_is_seeded_and_scoped(self):
-        first = generate_frontend_plans(6, seed=3, n_kill_plans=2)
-        second = generate_frontend_plans(6, seed=3, n_kill_plans=2)
+        first = generate_frontend_plans(6, seed=3)
+        second = generate_frontend_plans(6, seed=3)
         assert first == second
-        assert [plan.kill_site for plan in first[-2:]] == list(
-            FRONTEND_KILL_SITES
-        ) * 2
+        assert all(plan.kill_site is None for plan in first)
         pool_sites = {planned.site for planned in frontend_site_pool()}
         assert {
             planned.site for plan in first for planned in plan.faults
         } <= pool_sites
-
-    def test_kill_plans_rejected_in_process(self, session_snapshot):
-        from repro.serve.chaos import run_frontend_plan
-
-        plan = generate_frontend_plans(1, seed=0, n_kill_plans=1)[0]
-        with pytest.raises(ValueError, match="kill plans"):
-            run_frontend_plan(
-                plan, lambda: MatcherSession.load(session_snapshot), [], []
-            )
 
 
 class TestConcurrentFuzz:
