@@ -236,6 +236,21 @@ def _lsh_candidate_indexes(
     return kept // n_right, kept % n_right, run_lengths[hits], examined, skipped
 
 
+#: Strided probes seeding every beam search beside the entry point (see
+#: :meth:`SmallWorldGraph._entry_points`).
+N_ENTRY_POINTS = 8
+
+
+def _grown(buffer: np.ndarray, needed: int) -> np.ndarray:
+    """*buffer* copied into a zeroed one of at least *needed* slots.
+
+    Doubling keeps appends amortized O(1) per element.
+    """
+    grown = np.zeros(max(needed, 2 * len(buffer)), dtype=buffer.dtype)
+    grown[: len(buffer)] = buffer
+    return grown
+
+
 class SmallWorldGraph:
     """A navigable-small-world index over dense sorted id rows.
 
@@ -251,61 +266,103 @@ class SmallWorldGraph:
     node by node — so :meth:`add_row` appends a new node in the same
     O(beam) work as one build step; a graph grown by appends is
     bit-identical to one built from the concatenated row list.
+
+    Storage is one flat int64 row buffer (node ``i`` owns
+    ``_flat[_starts[i] : _starts[i] + _sizes[i]]``) grown by doubling. A
+    search writes its query ids once into a vocabulary-sized boolean
+    marker, so scoring a frontier is one gather of the frontier's row
+    ranges plus a prefix sum of ``marker[ids]``. Each edge keeps its
+    similarity beside ``_neighbors``: cosine of two id sets is symmetric
+    bit for bit (an integer intersection over ``sqrt`` of an exact
+    integer product), so degree pruning re-sorts cached values instead
+    of re-scoring rows. Searches share the marker, so one graph serves
+    one thread at a time, as its inserts always required.
     """
 
-    def __init__(
-        self,
-        rows: Sequence[np.ndarray],
-        max_degree: int = 8,
-        beam_width: int = 12,
-        n_entry_points: int = 8,
-    ) -> None:
+    def __init__(self, max_degree: int = 8, beam_width: int = 12) -> None:
         self.max_degree = max_degree
         self.beam_width = beam_width
-        self.n_entry_points = n_entry_points
-        self._rows: list[np.ndarray] = []
-        self._sizes = np.empty(0, dtype=np.int64)
+        self._flat = np.zeros(1024, dtype=np.int64)
+        self._fill = 0
+        self._starts = np.zeros(64, dtype=np.int64)
+        self._sizes = np.zeros(64, dtype=np.int64)
+        self._count = 0
+        #: ``_marker[i]`` is True while id ``i`` belongs to the query
+        #: being searched; all False between searches.
+        self._marker = np.zeros(64, dtype=bool)
         self._neighbors: list[list[int]] = []
+        #: ``_edge_sims[a][j]`` is the cosine of ``a`` and
+        #: ``_neighbors[a][j]``.
+        self._edge_sims: list[list[float]] = []
         self._entry: int | None = None
         self.sim_evals = 0
-        for row in rows:
-            self.add_row(row)
 
     def add_row(self, row: np.ndarray) -> int:
         """Append one dense sorted id row as a new node; returns its id."""
-        node = len(self._rows)
-        self._rows.append(row)
-        self._sizes = np.append(self._sizes, len(row))
+        node = self._count
+        size = len(row)
+        if node == len(self._starts):
+            self._starts = _grown(self._starts, node + 1)
+            self._sizes = _grown(self._sizes, node + 1)
+        end = self._fill + size
+        if end > len(self._flat):
+            self._flat = _grown(self._flat, end)
+        self._flat[self._fill : end] = row
+        self._starts[node] = self._fill
+        self._sizes[node] = size
+        self._fill = end
+        self._count += 1
+        if size:
+            top = int(row.max())
+            if top >= len(self._marker):
+                self._marker = _grown(self._marker, top + 1)
         self._neighbors.append([])
+        self._edge_sims.append([])
         self._insert(node)
         return node
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
 
-    def _sims_to(
-        self, query: np.ndarray, query_size: int, nodes: list[int]
-    ) -> np.ndarray:
-        """Cosine of *query* against each node, in one batched pass."""
+    def _row(self, node: int) -> np.ndarray:
+        start = int(self._starts[node])
+        return self._flat[start : start + int(self._sizes[node])]
+
+    def _mark(self, query: np.ndarray) -> np.ndarray:
+        """Set the marker for *query*'s indexed ids; returns them.
+
+        Ids beyond every indexed row cannot intersect anything and are
+        left out. The caller clears ``_marker`` at the returned ids.
+        """
+        known = query[query < len(self._marker)]
+        self._marker[known] = True
+        return known
+
+    def _sims_to(self, query_size: int, nodes: list[int]) -> np.ndarray:
+        """Cosine of the marked query against each node, in one batched pass."""
         out = np.zeros(len(nodes), dtype=np.float64)
-        if not nodes or query_size == 0 or len(query) == 0:
+        if not nodes or query_size == 0:
             return out
         self.sim_evals += len(nodes)
-        sizes = self._sizes[nodes]
-        flat = (
-            np.concatenate([self._rows[node] for node in nodes])
-            if int(sizes.sum())
-            else _EMPTY_INDEX
-        )
-        if len(flat) == 0:
+        index = np.array(nodes, dtype=np.int64)
+        sizes = self._sizes[index]
+        ends = sizes.cumsum()
+        total = int(ends[-1])
+        if total == 0:
             return out
-        positions = np.searchsorted(query, flat)
-        positions[positions == len(query)] = 0
-        matched = query[positions] == flat
-        row_of = np.repeat(np.arange(len(nodes), dtype=np.int64), sizes)
-        inter = np.bincount(row_of[matched], minlength=len(nodes))
-        mask = sizes > 0
-        out[mask] = inter[mask] / np.sqrt(float(query_size) * sizes[mask])
+        offsets = ends - sizes
+        # Flat positions of the nodes' rows, back to back.
+        positions = (self._starts[index] - offsets).repeat(sizes)
+        positions += np.arange(total, dtype=np.int64)
+        hits = np.zeros(total + 1, dtype=np.int64)
+        self._marker[self._flat[positions]].cumsum(out=hits[1:])
+        inter = hits[ends] - hits[offsets]
+        np.divide(
+            inter,
+            np.sqrt(float(query_size) * sizes),
+            out=out,
+            where=sizes > 0,
+        )
         return out
 
     def _entry_points(self) -> list[int]:
@@ -322,10 +379,10 @@ class SmallWorldGraph:
         """
         if self._entry is None:
             return []
-        count = len(self._rows)
+        count = self._count
         seeds = {self._entry}
-        for probe in range(self.n_entry_points):
-            seeds.add((probe * count) // self.n_entry_points)
+        for probe in range(N_ENTRY_POINTS):
+            seeds.add((probe * count) // N_ENTRY_POINTS)
         seeds.add(count - 1)
         return sorted(seeds)
 
@@ -336,18 +393,25 @@ class SmallWorldGraph:
         entries = self._entry_points()
         if not entries:
             return []
-        entry_sims = self._sims_to(query, query_size, entries)
+        if len(query) == 0:
+            query_size = 0  # nothing can intersect: every score is 0
+        known = self._mark(query)
+        try:
+            return self._beam(entries, query_size, beam)
+        finally:
+            self._marker[known] = False
+
+    def _beam(
+        self, entries: list[int], query_size: int, beam: int
+    ) -> list[tuple[float, int]]:
+        entry_sims = self._sims_to(query_size, entries).tolist()
         visited = set(entries)
         # Max-heap of frontier nodes by (-sim, node); min-heap of the
         # best `beam` results by (sim, -node) — both orders break ties
         # by node id, deterministically.
-        frontier = [
-            (-sim, entry) for entry, sim in zip(entries, entry_sims.tolist())
-        ]
+        frontier = [(-sim, entry) for entry, sim in zip(entries, entry_sims)]
         heapq.heapify(frontier)
-        results = [
-            (sim, -entry) for entry, sim in zip(entries, entry_sims.tolist())
-        ]
+        results = [(sim, -entry) for entry, sim in zip(entries, entry_sims)]
         heapq.heapify(results)
         while len(results) > beam:
             heapq.heappop(results)
@@ -363,7 +427,7 @@ class SmallWorldGraph:
             if not fresh:
                 continue
             visited.update(fresh)
-            sims = self._sims_to(query, query_size, fresh)
+            sims = self._sims_to(query_size, fresh)
             for neighbor, sim in zip(fresh, sims.tolist()):
                 if len(results) < beam or sim > results[0][0]:
                     heapq.heappush(frontier, (-sim, neighbor))
@@ -375,32 +439,35 @@ class SmallWorldGraph:
         return found
 
     def _insert(self, node: int) -> None:
-        row = self._rows[node]
-        if len(row) == 0:
+        size = int(self._sizes[node])
+        if size == 0:
             return
         if self._entry is None:
             self._entry = node
             return
         beam = max(self.beam_width, self.max_degree)
-        for __, other in self._search(row, len(row), beam)[: self.max_degree]:
-            self._connect(node, other)
+        found = self._search(self._row(node), size, beam)
+        for sim, other in found[: self.max_degree]:
+            self._connect(node, other, sim)
 
-    def _connect(self, node: int, other: int) -> None:
+    def _connect(self, node: int, other: int, sim: float) -> None:
+        """Link *node* and *other* both ways, pruning each to ``max_degree``.
+
+        *sim* serves both directions: it is symmetric bit for bit.
+        """
         for source, target in ((node, other), (other, node)):
             neighbors = self._neighbors[source]
             if target in neighbors:
                 continue
+            sims = self._edge_sims[source]
             neighbors.append(target)
+            sims.append(sim)
             if len(neighbors) > self.max_degree:
-                row = self._rows[source]
-                sims = self._sims_to(row, len(row), neighbors)
-                order = sorted(
-                    range(len(neighbors)),
-                    key=lambda i: (-sims[i], neighbors[i]),
-                )
-                self._neighbors[source] = [
-                    neighbors[i] for i in order[: self.max_degree]
-                ]
+                kept = sorted(
+                    zip([-value for value in sims], neighbors)
+                )[: self.max_degree]
+                self._neighbors[source] = [neighbor for __, neighbor in kept]
+                self._edge_sims[source] = [-value for value, __ in kept]
 
     def search(
         self, query: np.ndarray, query_size: int, k: int
@@ -445,7 +512,6 @@ class GraphIndex:
         self.config = config
         self._table = CodeTable()
         self.graph = SmallWorldGraph(
-            (),
             max_degree=config.max_degree,
             beam_width=config.beam_width,
         )

@@ -546,6 +546,13 @@ def _scale_command(cache_dir: Path | None, args) -> int:
     state_dir = args.state
     if state_dir is None and cache_dir is not None:
         state_dir = cache_dir / "scale"
+    collector = obs.active()
+    if cache_dir is not None and collector.enabled:
+        # As a runner does: the sweep's spans land in <cache>/trace.jsonl
+        # under a fresh run id; main() detaches the file on return.
+        collector.trace.attach_file(
+            cache_dir / obs.TRACE_FILE_NAME, run_id=obs.new_run_id()
+        )
     sweep = ShardedSweep(config, cache_dir=state_dir)
     try:
         report = sweep.run()

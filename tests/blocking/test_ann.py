@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import (
     AnnBlocker,
@@ -14,9 +20,12 @@ from repro.blocking import (
     provenance_sweep,
     tune_ann,
 )
+from repro.blocking.ann import SmallWorldGraph
 from repro.data.records import RecordStore, Schema
-from repro.datasets.generator import SourcePair
+from repro.datasets.generator import SourcePair, build_task_from_sources
+from repro.datasets.registry import SOURCE_DATASET_IDS, load_source_pair
 from repro.datasets.sources import build_source_pair
+from repro.serve import SessionConfig
 from repro.text.kernels import (
     EMPTY_SIGNATURE,
     band_keys,
@@ -242,6 +251,189 @@ class TestAnnBlockerGraph:
             index.insert(records[40:60])
             assert o.metrics.counter("blocking.ann.index_builds") == 1.0
             assert o.metrics.counter("blocking.ann.index_inserts") == 40.0
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+def _set_cosine(a, b) -> float:
+    """Plain set cosine ``|a & b| / sqrt(|a| * |b|)`` (0 when either is empty)."""
+    if not a or not b:
+        return 0.0
+    return len(set(a) & set(b)) / math.sqrt(len(set(a)) * len(set(b)))
+
+
+def _marked_sims(graph, probe: np.ndarray, nodes: list[int]) -> np.ndarray:
+    """``graph._sims_to`` for *probe*, marked the way a search marks it."""
+    known = graph._mark(probe)
+    try:
+        return graph._sims_to(len(probe), nodes)
+    finally:
+        graph._marker[known] = False
+
+
+def _grown_graph(rows) -> SmallWorldGraph:
+    graph = SmallWorldGraph(max_degree=3, beam_width=4)
+    for row in rows:
+        graph.add_row(np.array(sorted(row), dtype=np.int64))
+    return graph
+
+
+#: Ids 0..30 are indexable; 60..200 lie beyond every indexed row, and
+#: from 64 on also beyond the marker's initial 64 slots.
+_ROWS = st.lists(
+    st.frozensets(st.integers(0, 30), max_size=10), min_size=1, max_size=24
+)
+_PROBES = st.frozensets(
+    st.one_of(st.integers(0, 30), st.integers(60, 200)), max_size=10
+)
+
+
+class TestSmallWorldKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(_ROWS, _PROBES)
+    def test_sims_match_set_cosine(self, rows, probe):
+        graph = _grown_graph(rows)
+        probe_ids = np.array(sorted(probe), dtype=np.int64)
+        nodes = list(range(len(rows)))
+        sims = _marked_sims(graph, probe_ids, nodes)
+        assert sims.tolist() == [_set_cosine(probe, row) for row in rows]
+        entries = graph._entry_points()
+        assert _marked_sims(graph, probe_ids, entries).tolist() == [
+            _set_cosine(probe, rows[entry]) for entry in entries
+        ]
+        assert not graph._marker.any()
+        found = graph.search(probe_ids, len(probe), 5)
+        assert not graph._marker.any()
+        for sim, node in found:
+            assert sim == _set_cosine(probe, rows[node]) > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ROWS)
+    def test_cached_edge_sims_are_symmetric_cosines(self, rows):
+        graph = _grown_graph(rows)
+        for node, (neighbors, sims) in enumerate(
+            zip(graph._neighbors, graph._edge_sims)
+        ):
+            assert len(neighbors) == len(sims) <= graph.max_degree
+            for other, sim in zip(neighbors, sims):
+                assert sim == _set_cosine(rows[node], rows[other])
+                assert sim == _set_cosine(rows[other], rows[node])
+
+    def test_empty_rows_as_entry_points(self):
+        # 16 nodes seed the beam at every even node plus the last; the
+        # even rows are empty, so most entry points score 0.
+        rows = [
+            [] if node % 2 == 0 else [node, node + 1, node + 2]
+            for node in range(16)
+        ]
+        graph = _grown_graph(rows)
+        entries = graph._entry_points()
+        assert [node for node in entries if not rows[node]] == list(
+            range(0, 16, 2)
+        )
+        probe = np.array([5, 6, 7], dtype=np.int64)
+        sims = _marked_sims(graph, probe, entries)
+        assert sims.tolist() == [
+            _set_cosine(probe.tolist(), rows[node]) for node in entries
+        ]
+        found = graph.search(probe, 3, 4)
+        assert found and all(rows[node] for __, node in found)
+        assert found[0] == (1.0, 5)
+
+    def test_probe_without_known_ids_scores_nothing(self):
+        graph = _grown_graph([[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+        unknown = np.array([90, 500], dtype=np.int64)
+        assert _marked_sims(graph, unknown, [0, 1, 2]).tolist() == [0.0] * 3
+        assert graph.search(unknown, 2, 3) == []
+        # An empty probe (every code dropped by the index) with a
+        # non-zero query size scores nothing and counts no evaluation.
+        evals = graph.sim_evals
+        assert graph.search(np.empty(0, dtype=np.int64), 4, 3) == []
+        assert graph.sim_evals == evals
+        assert not graph._marker.any()
+
+    def test_grown_across_buffer_doubling_matches_rebuilt(self, small_sources):
+        records = small_sources.right.records()
+        grown = make_index("graph", records[:10])
+        before = (len(grown.graph._flat), len(grown.graph._starts))
+        grown.insert(records[10:])
+        after = (len(grown.graph._flat), len(grown.graph._starts))
+        assert after[0] > before[0] and after[1] > before[1]
+        rebuilt = make_index("graph", records)
+        assert grown.graph._neighbors == rebuilt.graph._neighbors
+        assert grown.graph._edge_sims == rebuilt.graph._edge_sims
+        rows = [grown.graph._row(node).tolist() for node in range(len(grown))]
+        for node, (neighbors, sims) in enumerate(
+            zip(grown.graph._neighbors, grown.graph._edge_sims)
+        ):
+            for other, sim in zip(neighbors, sims):
+                assert sim == _set_cosine(rows[node], rows[other])
+        for probe in small_sources.left.records()[:15]:
+            a, b = grown.search(probe, 5), rebuilt.search(probe, 5)
+            assert (a.ids, a.scores) == (b.ids, b.scores)
+
+
+#: Digests of the small-world graph's outputs. The graph is exact and
+#: deterministic, so any rewrite of its kernel must keep every one.
+_SERVE_NEIGHBORS_DIGEST = "a65f048473f6875f"
+_SERVE_PROBES_DIGEST = "d8e05fe9c4ff8d02"
+_GRAPH_CANDIDATES_DIGESTS = {
+    "abt_buy": (810, "2d226397e716d8bb"),
+    "amazon_google": (1020, "8bcd9ed218f9c71c"),
+    "dblp_acm": (1960, "8deab515d620c83d"),
+    "imdb_tmdb": (1440, "92c4997de295281f"),
+    "imdb_tvdb": (1410, "e2eb0266d877c7a2"),
+    "tmdb_tvdb": (1110, "b7b15855ebc67543"),
+    "walmart_amazon": (1660, "17dc27e696a22535"),
+    "dblp_scholar": (1890, "f644ee77fe79f1b5"),
+}
+
+
+@pytest.fixture(scope="module")
+def serve_graph():
+    """The index ``repro serve dblp_scholar`` builds, with its task.
+
+    Built over a fresh feature store: cosines do not depend on how codes
+    are numbered, so it is the serve session's graph exactly.
+    """
+    task = build_task_from_sources(
+        load_source_pair("dblp_scholar", 1.0),
+        n_pairs=300,
+        positive_fraction=0.25,
+        seed=0,
+    )
+    config = SessionConfig(matcher="SA-ESDE", blocker="graph", k=10, seed=0)
+    return task, make_index(config.ann_config(), task.right.records())
+
+
+class TestGraphPin:
+    def test_serve_index_neighbor_lists(self, serve_graph):
+        __, index = serve_graph
+        assert len(index) == 2377
+        assert _digest(index.graph._neighbors) == _SERVE_NEIGHBORS_DIGEST
+
+    def test_serve_index_top10(self, serve_graph):
+        task, index = serve_graph
+        answers = [
+            [list(found.ids), [float(score).hex() for score in found.scores]]
+            for found in (
+                index.search(probe, 10) for probe in task.left.records()[:40]
+            )
+        ]
+        assert _digest(answers) == _SERVE_PROBES_DIGEST
+
+    @pytest.mark.parametrize("dataset_id", SOURCE_DATASET_IDS)
+    def test_ann_blocker_candidates(self, dataset_id):
+        result = AnnBlocker(AnnConfig(backend="graph")).candidate_result(
+            load_source_pair(dataset_id, 0.3)
+        )
+        pairs = [list(pair) for pair in result.ids]
+        scores = [float(score).hex() for score in result.scores]
+        assert (len(result.ids), _digest([pairs, scores])) == (
+            _GRAPH_CANDIDATES_DIGESTS[dataset_id]
+        )
 
 
 class TestTuneAnn:

@@ -60,6 +60,18 @@ class TestCli:
         assert not (tmp_path / "earlier" / "trace.jsonl").exists()
         capsys.readouterr()
 
+    def test_scale_up_traces_into_the_cache(self, capsys, tmp_path):
+        assert main(
+            ["scale-up", "Ds2", "--records", "600", "--shard-size", "150",
+             "--cache", str(tmp_path)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["trace", "--last", "--cache", str(tmp_path)]) == 0
+        output = capsys.readouterr().out
+        assert "no trace runs found" not in output
+        assert "scale.fit" in output
+        assert "scale.shard" in output
+
     def test_scale_up_rejects_bad_config(self, capsys, tmp_path):
         assert main(
             ["scale-up", "Ds2", "--records", "600", "--matcher", "SAS",
