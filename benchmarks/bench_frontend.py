@@ -4,7 +4,10 @@ Starts a :class:`~repro.serve.frontend.SocketFrontend` over a session
 on dblp_scholar at CI scale, then drives it at two operating points and
 prints the measured record:
 
-* **1x** — one closed-loop client: baseline throughput and p99 latency;
+* **1x** — one closed-loop client: baseline throughput and p99 latency,
+  over ``N_BASELINE`` requests cycling through the burst's probes, so
+  the p99 has a dozen samples beyond it and does not swing with one slow
+  request;
 * **4x** — several concurrent closed-loop clients against a deliberately
   small admission queue: sustained overload.
 
@@ -35,7 +38,8 @@ DATASET = "dblp_scholar"
 SCALE = 1.0
 SEED = 0
 K = 5
-N_BASELINE = 120
+N_PROBES = 120
+N_BASELINE = 1200
 N_WARMUP = 30
 N_BURST_CLIENTS = 4
 N_PER_BURST_CLIENT = 60
@@ -99,7 +103,7 @@ def test_frontend_sheds_under_overload_with_bounded_admitted_p99():
         name=f"{DATASET}_frontend",
     )
     session = open_session(task, k=K, seed=SEED)
-    probes = task.left.records()[:N_BASELINE]
+    probes = task.left.records()[:N_PROBES]
     # The ground truth for parity: the offline session's own answers.
     expected = {
         probe.record_id: result.to_dict()
@@ -128,9 +132,12 @@ def test_frontend_sheds_under_overload_with_bounded_admitted_p99():
         # the 1x baseline measures steady state.
         warmup_out: dict = {}
         _run_client(address, requests[:N_WARMUP], warmup_out)
+        baseline_requests = [
+            requests[i % len(requests)] for i in range(N_BASELINE)
+        ]
         baseline_out: dict = {}
         started = time.perf_counter()
-        _run_client(address, requests, baseline_out)
+        _run_client(address, baseline_requests, baseline_out)
         baseline_seconds = time.perf_counter() - started
         (baseline,) = baseline_out.values()
         baseline_ok = [lat for bucket, lat, _ in baseline if bucket == "ok"]

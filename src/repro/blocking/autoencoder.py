@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import check_features
-from repro.ml.optim import Adam
+from repro.ml.optim import Adam, flat_views, flatten
 
 
 class LinearAutoencoder:
@@ -47,21 +47,24 @@ class LinearAutoencoder:
         encoder_bias = np.zeros(self.encoding_dim)
         decoder = rng.uniform(-scale, scale, size=(self.encoding_dim, n_features))
         decoder_bias = np.zeros(n_features)
-        params = [encoder, encoder_bias, decoder, decoder_bias]
+        initial = [encoder, encoder_bias, decoder, decoder_bias]
+        params, (encoder, encoder_bias, decoder, decoder_bias) = flatten(initial)
+        gradient = np.empty_like(params)
+        grad_encoder, grad_encoder_bias, grad_decoder, grad_decoder_bias = (
+            flat_views(gradient, [p.shape for p in initial])
+        )
         optimizer = Adam(params, learning_rate=self.learning_rate)
 
         for __ in range(self.epochs):
             encoded = array @ encoder + encoder_bias
             reconstructed = encoded @ decoder + decoder_bias
             error = (reconstructed - array) / n_samples
-            grad_decoder = encoded.T @ error
-            grad_decoder_bias = error.sum(axis=0)
+            np.matmul(encoded.T, error, out=grad_decoder)
+            error.sum(axis=0, out=grad_decoder_bias)
             grad_encoded = error @ decoder.T
-            grad_encoder = array.T @ grad_encoded
-            grad_encoder_bias = grad_encoded.sum(axis=0)
-            optimizer.step(
-                [grad_encoder, grad_encoder_bias, grad_decoder, grad_decoder_bias]
-            )
+            np.matmul(array.T, grad_encoded, out=grad_encoder)
+            grad_encoded.sum(axis=0, out=grad_encoder_bias)
+            optimizer.step(gradient)
 
         self._encoder = encoder
         self._encoder_bias = encoder_bias

@@ -9,8 +9,9 @@ on EMTransformer (Section V-B).
 
 Instances of one network that differ only in ``epochs`` can share a
 :class:`TrainingRun`: a shorter budget's fit is a prefix of a longer one's,
-so one representation pass and one resumable head trajectory serve every
-budget.
+so one resumable head trajectory serves every budget, and since the
+representation does not depend on ``epochs`` each pair set of the task is
+represented once for all of them.
 """
 
 from __future__ import annotations
@@ -32,25 +33,33 @@ class TrainingRun:
 
     Instances that differ only in ``epochs`` train identically for their
     common epochs: same representation, same initial parameters (``seed``)
-    and same per-epoch permutations (``seed + 1``). The run computes the
-    training and validation representations once, advances one
+    and same per-epoch permutations (``seed + 1``). The run advances one
     :class:`MLPTrajectory` and stores the head at each budget it passes, so
     the instances can be fitted in either order and each gets exactly the
-    head it would have trained alone.
+    head it would have trained alone. It also memoizes the representation
+    of each pair set of its task (training, validation, testing), keyed by
+    the pair set's identity; the entry holds a reference to the set, so
+    its ``id`` cannot be reused while the entry lives. Whichever instance
+    represents a set first computes it, the others read the same
+    read-only matrix.
 
-    A lock guards the run: a unit abandoned at its deadline keeps training
-    in a leaked thread, and its sibling waits for it rather than racing it.
-    An exception while training discards the run, so the sibling retrains
-    from scratch. The trajectory is dropped once it has passed the largest
-    budget, and each stored head once it has been handed out.
+    A re-entrant lock guards the run: :meth:`head` holds it while the
+    trajectory's start represents the training and validation sets through
+    the memo. A unit abandoned at its deadline keeps training in a leaked
+    thread, and its sibling waits for it rather than racing it. An
+    exception while training discards the run, memo included, so the
+    sibling retrains from scratch; a new task discards it too. The
+    trajectory is dropped once it has passed the largest budget, and each
+    stored head once it has been handed out.
     """
 
     def __init__(self, budgets: Iterable[int]) -> None:
         self.budgets = tuple(sorted(set(budgets)))
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._task: MatchingTask | None = None
         self._trajectory: MLPTrajectory | None = None
         self._heads: dict[int, MLPClassifier] = {}
+        self._representations: dict[int, tuple[LabeledPairSet, np.ndarray]] = {}
 
     def head(self, matcher: "DeepMatcherBase", task: MatchingTask) -> MLPClassifier:
         """The head *matcher*, prepared on *task*, trains for its budget."""
@@ -60,6 +69,25 @@ class TrainingRun:
             except BaseException:
                 self._discard()
                 raise
+
+    def representation(
+        self, matcher: "DeepMatcherBase", pairs: LabeledPairSet
+    ) -> np.ndarray:
+        """*matcher*'s representation of *pairs*, computed once per run task.
+
+        Only an instance prepared on the run's current task shares; any
+        other gets its own, unmemoized matrix.
+        """
+        with self._lock:
+            if self._task is None or matcher._prepared_for is not self._task:
+                return matcher._represent_all(pairs)
+            entry = self._representations.get(id(pairs))
+            if entry is None or len(entry[1]) != len(pairs):  # grown by add()
+                matrix = matcher._represent_all(pairs)
+                matrix.flags.writeable = False
+                entry = (pairs, matrix)
+                self._representations[id(pairs)] = entry
+            return entry[1]
 
     def _advance(self, matcher: "DeepMatcherBase", task: MatchingTask) -> MLPClassifier:
         if task is not self._task:
@@ -83,6 +111,7 @@ class TrainingRun:
         self._task = None
         self._trajectory = None
         self._heads.clear()
+        self._representations.clear()
 
 
 class DeepMatcherBase(Matcher):
@@ -121,6 +150,8 @@ class DeepMatcherBase(Matcher):
         self.seed = seed
         self._training = training
         self._head: MLPClassifier | None = None
+        #: The task :meth:`_prepare` last built this instance's caches for.
+        self._prepared_for: MatchingTask | None = None
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -141,7 +172,14 @@ class DeepMatcherBase(Matcher):
     # -- Matcher implementation ----------------------------------------------
 
     def representation_matrix(self, pairs: LabeledPairSet) -> np.ndarray:
-        """(n_pairs, dim) representation matrix in pair order."""
+        """(n_pairs, dim) representation matrix in pair order.
+
+        Shared through the training run with the instance's other epoch
+        budgets (read-only then); see :meth:`TrainingRun.representation`.
+        """
+        return self._training.representation(self, pairs)
+
+    def _represent_all(self, pairs: LabeledPairSet) -> np.ndarray:
         return np.stack([self._represent(pair) for pair, __ in pairs])
 
     def _new_head(self, epochs: int) -> MLPClassifier:
@@ -170,7 +208,9 @@ class DeepMatcherBase(Matcher):
         )
 
     def _fit(self, task: MatchingTask) -> None:
+        self._prepared_for = None
         self._prepare(task)
+        self._prepared_for = task
         self._head = self._training.head(self, task)
 
     def _predict(self, pairs: LabeledPairSet) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.ml.base import check_features, check_labels
 from repro.ml.metrics import f1_score
-from repro.ml.optim import Adam
+from repro.ml.optim import Adam, flat_views, flatten
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -130,11 +130,12 @@ class MLPClassifier:
         grad_logits: np.ndarray,
         params: list[np.ndarray],
         caches: list[dict[str, np.ndarray]],
-    ) -> list[np.ndarray]:
-        grads: list = [None] * len(params)  # every slot is assigned below
+        grads: list[np.ndarray],
+    ) -> None:
+        """Write the gradient of each parameter into its slot of *grads*."""
         hidden = caches[-1]["out"]
-        grads[-2] = hidden.T @ grad_logits
-        grads[-1] = np.array([grad_logits.sum()])
+        np.matmul(hidden.T, grad_logits, out=grads[-2])
+        grad_logits.sum(axis=0, keepdims=True, out=grads[-1])
         grad_hidden = grad_logits[:, None] * params[-2][None, :]
 
         cursor = 2 + 4 * (self.n_highway - 1)
@@ -148,10 +149,10 @@ class MLPClassifier:
             grad_candidate = grad_hidden * gate
             grad_pre_t = grad_gate * gate * (1.0 - gate)
             grad_pre_h = grad_candidate * (cache["pre_h"] > 0.0)
-            grads[cursor] = x.T @ grad_pre_h
-            grads[cursor + 1] = grad_pre_h.sum(axis=0)
-            grads[cursor + 2] = x.T @ grad_pre_t
-            grads[cursor + 3] = grad_pre_t.sum(axis=0)
+            np.matmul(x.T, grad_pre_h, out=grads[cursor])
+            grad_pre_h.sum(axis=0, out=grads[cursor + 1])
+            np.matmul(x.T, grad_pre_t, out=grads[cursor + 2])
+            grad_pre_t.sum(axis=0, out=grads[cursor + 3])
             grad_hidden = (
                 grad_hidden * (1.0 - gate)
                 + grad_pre_h @ w_h.T
@@ -161,9 +162,8 @@ class MLPClassifier:
 
         input_cache = caches[0]
         grad_pre_in = grad_hidden * (input_cache["pre"] > 0.0)
-        grads[0] = input_cache["x"].T @ grad_pre_in
-        grads[1] = grad_pre_in.sum(axis=0)
-        return grads
+        np.matmul(input_cache["x"].T, grad_pre_in, out=grads[0])
+        grad_pre_in.sum(axis=0, out=grads[1])
 
     def fit(
         self,
@@ -208,6 +208,10 @@ class MLPTrajectory:
     ``n``-epoch fit: :meth:`MLPClassifier.fit` is ``run_to(epochs)``
     followed by :meth:`export`.
 
+    The parameters are views into one flat buffer and the gradients views
+    into a second, so an Adam step, a best-epoch snapshot and an export
+    each touch one array.
+
     *model* supplies the architecture and optimiser settings; its
     ``epochs`` is not read.
     """
@@ -226,8 +230,12 @@ class MLPTrajectory:
             np.float64
         )
         n_samples = self._features.shape[0]
-        self._params = model._init_params(self._features.shape[1])
-        self._optimizer = Adam(self._params, learning_rate=model.learning_rate)
+        initial = model._init_params(self._features.shape[1])
+        self._shapes = [p.shape for p in initial]
+        self._flat, self._params = flatten(initial)
+        self._gradient = np.empty_like(self._flat)
+        self._grads = flat_views(self._gradient, self._shapes)
+        self._optimizer = Adam(self._flat, learning_rate=model.learning_rate)
         self._rng = np.random.default_rng(model.seed + 1)
         self._batch = max(1, min(model.batch_size, n_samples))
 
@@ -249,7 +257,7 @@ class MLPTrajectory:
                 np.asarray(validation_labels),
             )
         self._best_f1 = -1.0
-        self._best_params: list[np.ndarray] | None = None
+        self._best_flat: np.ndarray | None = None
         self.history: list[float] = []
         self.epochs_run = 0
 
@@ -272,7 +280,8 @@ class MLPTrajectory:
             logits, caches = model._forward(x, params)
             probabilities = _sigmoid(logits)
             grad_logits = (probabilities - y) * w / w.sum()
-            self._optimizer.step(model._backward(grad_logits, params, caches))
+            model._backward(grad_logits, params, caches, self._grads)
+            self._optimizer.step(self._gradient)
         if self._validation is not None:
             features, labels = self._validation
             logits, __ = model._forward(features, params)
@@ -281,7 +290,7 @@ class MLPTrajectory:
             self.history.append(score)
             if score > self._best_f1:
                 self._best_f1 = score
-                self._best_params = [p.copy() for p in params]
+                self._best_flat = self._flat.copy()
 
     def export(self, model: MLPClassifier) -> MLPClassifier:
         """Give *model* the fit after ``epochs_run`` epochs and return it.
@@ -290,10 +299,7 @@ class MLPTrajectory:
         there is no validation set) and the validation-F1 history so far.
         """
         model._n_features = self._features.shape[1]
-        model._params = (
-            self._best_params
-            if self._best_params is not None
-            else [p.copy() for p in self._params]
-        )
+        flat = self._best_flat if self._best_flat is not None else self._flat.copy()
+        model._params = flat_views(flat, self._shapes)
         model.validation_f1_history_ = list(self.history)
         return model

@@ -1,10 +1,11 @@
 """A deep network's two epoch budgets share one training run.
 
 ``build_suite`` gives the default-epoch and 40-epoch instances of each
-network one :class:`TrainingRun`. Sharing is only an optimisation: each
-instance must end up with exactly the head, predictions and validation
-history it would have trained alone, whichever budget runs first, and
-whatever happens to its sibling (abandoned at a deadline, or raising).
+network one :class:`TrainingRun`, which also represents each pair set of
+the task once for both. Sharing is only an optimisation: each instance
+must end up with exactly the head, predictions and validation history it
+would have trained alone, whichever budget runs first, and whatever
+happens to its sibling (abandoned at a deadline, or raising).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.experiments.matcher_suite import (
     build_matcher,
     build_suite,
 )
-from repro.matchers.deep import DeepMatcherNet, TrainingRun
+from repro.matchers.deep import DeepMatcherBase, DeepMatcherNet, TrainingRun
 from repro.ml import mlp
 from repro.ml.metrics import f1_score
 from repro.runtime import ExecutionPolicy
@@ -61,6 +62,19 @@ def outcome(matcher, task) -> dict:
 
 def alone(task, name: str) -> dict:
     return outcome(build_matcher(task, name), task)
+
+
+def count_representations(monkeypatch) -> list:
+    """Record the pair set of every representation pass from now on."""
+    represented = []
+    original = DeepMatcherBase._represent_all
+
+    def counting(self, pairs):
+        represented.append(pairs)
+        return original(self, pairs)
+
+    monkeypatch.setattr(DeepMatcherBase, "_represent_all", counting)
+    return represented
 
 
 def assert_identical(got: dict, expected: dict) -> None:
@@ -115,6 +129,63 @@ class TestTwinParity:
             DeepMatcherNet(epochs=20, training=TrainingRun((15, 40)))
 
 
+class TestSharedRepresentation:
+    @pytest.mark.parametrize("network", list(NETWORKS))
+    def test_twins_represent_each_pair_set_once(
+        self, network, handmade_task, monkeypatch
+    ):
+        short, long = twins(handmade_task, network)
+        represented = count_representations(monkeypatch)
+        for matcher in (short, long):
+            matcher.evaluate(handmade_task)
+        assert [id(pairs) for pairs in represented] == [
+            id(handmade_task.training),
+            id(handmade_task.validation),
+            id(handmade_task.testing),
+        ]
+        testing = short.representation_matrix(handmade_task.testing)
+        assert long.representation_matrix(handmade_task.testing) is testing
+        assert not testing.flags.writeable
+        assert len(represented) == 3
+
+    def test_new_task_drops_the_memo(self, handmade_task, small_task, monkeypatch):
+        short, long = twins(handmade_task, "DeepMatcher")
+        short.fit(handmade_task)
+        run = short._training
+        assert {id(pairs) for pairs, __ in run._representations.values()} == {
+            id(handmade_task.training),
+            id(handmade_task.validation),
+        }
+        long.fit(small_task)
+        assert all(
+            pairs in (small_task.training, small_task.validation)
+            for pairs, __ in run._representations.values()
+        )
+        # short was prepared on the old task: it represents alone, unmemoized.
+        represented = count_representations(monkeypatch)
+        first = short.representation_matrix(handmade_task.testing)
+        second = short.representation_matrix(handmade_task.testing)
+        assert first is not second and np.array_equal(first, second)
+        assert len(represented) == 2
+        assert id(handmade_task.testing) not in run._representations
+
+    def test_unprepared_instance_does_not_share(self, handmade_task):
+        short, long = twins(handmade_task, "DeepMatcher")
+        long.fit(handmade_task)
+        short._prepare(handmade_task)  # prepared outside fit: no run task
+        matrix = short.representation_matrix(handmade_task.testing)
+        assert matrix.flags.writeable
+        assert not long._training._representations.get(id(handmade_task.testing))
+
+    def test_grown_pair_set_is_represented_again(self, handmade_task):
+        matcher = build_matcher(handmade_task, "DeepMatcher (15)").fit(handmade_task)
+        pairs = handmade_task.testing.subset(range(4))
+        assert len(matcher.representation_matrix(pairs)) == 4
+        extra, label = next(iter(handmade_task.testing.subset([5])))
+        pairs.add(extra, label)
+        assert len(matcher.representation_matrix(pairs)) == 5
+
+
 class TestSiblingFailures:
     def test_short_unit_abandoned_at_deadline(self, handmade_task):
         short, long = twins(handmade_task, "EMTransformer-B")
@@ -139,6 +210,9 @@ class TestSiblingFailures:
         expected = build_matcher(handmade_task, short.name).fit(handmade_task)
         for mine, theirs in zip(short._head._params, expected._head._params):
             assert np.array_equal(mine, theirs)
+        assert short.representation_matrix(
+            handmade_task.testing
+        ) is long.representation_matrix(handmade_task.testing)
 
     @pytest.mark.parametrize(
         "long_first", [False, True], ids=["short-fails", "long-fails"]
@@ -156,6 +230,8 @@ class TestSiblingFailures:
         with pytest.raises(RuntimeError, match="injected"):
             failing.evaluate(handmade_task)
         monkeypatch.setattr(mlp, "f1_score", f1_score)
+        run = failing._training
+        assert run._task is None and not run._representations
 
         assert_identical(
             outcome(survivor, handmade_task), alone(handmade_task, survivor.name)
@@ -167,7 +243,7 @@ class TestSiblingFailures:
 
 class TestConcurrentFits:
     def test_threads_fitting_one_run_each_get_their_unshared_head(
-        self, handmade_task
+        self, handmade_task, monkeypatch
     ):
         budgets = (3, 6, 9, 12)
         run = TrainingRun(budgets)
@@ -177,10 +253,13 @@ class TestConcurrentFits:
             for __ in range(2)  # two instances per budget: one finds its head taken
         ]
         errors = []
+        predictions = {}
+        represented = count_representations(monkeypatch)
 
         def fit(matcher):
             try:
                 matcher.fit(handmade_task)
+                predictions[id(matcher)] = matcher.predict(handmade_task.testing)
             except BaseException as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -196,8 +275,13 @@ class TestConcurrentFits:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+        # Training, validation and testing: each represented once for all.
+        assert len(represented) == 3
         for matcher in matchers:
             expected = DeepMatcherNet(epochs=matcher.epochs).fit(handmade_task)
+            assert np.array_equal(
+                predictions[id(matcher)], expected.predict(handmade_task.testing)
+            )
             assert (
                 matcher._head.validation_f1_history_
                 == expected._head.validation_f1_history_

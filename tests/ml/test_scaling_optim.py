@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.optim import Adam
+from repro.ml.optim import Adam, flat_views, flatten
 from repro.ml.scaling import MinMaxScaler, StandardScaler
 
 matrices = st.lists(
@@ -72,29 +72,75 @@ class TestMinMaxScaler:
             MinMaxScaler().transform(np.zeros((2, 2)))
 
 
+def _list_adam_steps(params, gradient_steps, learning_rate):
+    """The per-array Adam update, applied array by array (the reference)."""
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, gradients in enumerate(gradient_steps, start=1):
+        bias1 = 1.0 - beta1**t
+        bias2 = 1.0 - beta2**t
+        for param, grad, m, v in zip(params, gradients, ms, vs):
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            param -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + epsilon)
+
+
+shape_lists = st.lists(
+    st.lists(st.integers(1, 5), min_size=0, max_size=2).map(tuple),
+    min_size=1,
+    max_size=5,
+)
+
+
 class TestAdam:
     def test_minimizes_quadratic(self):
         # Minimize f(x) = ||x - target||^2 from zero.
         target = np.array([3.0, -2.0])
         x = np.zeros(2)
-        optimizer = Adam([x], learning_rate=0.1)
+        optimizer = Adam(x, learning_rate=0.1)
         for __ in range(500):
-            optimizer.step([2.0 * (x - target)])
+            optimizer.step(2.0 * (x - target))
         np.testing.assert_allclose(x, target, atol=1e-2)
 
     def test_gradient_count_mismatch_raises(self):
-        x = np.zeros(2)
-        optimizer = Adam([x])
+        optimizer = Adam(np.zeros(2))
         with pytest.raises(ValueError):
-            optimizer.step([np.zeros(2), np.zeros(2)])
+            optimizer.step(np.zeros(3))
 
     def test_empty_parameters_raise(self):
         with pytest.raises(ValueError):
-            Adam([])
+            Adam(np.zeros(0))
 
     def test_updates_in_place(self):
         x = np.ones(3)
         original = x
-        Adam([x], learning_rate=0.5).step([np.ones(3)])
+        Adam(x, learning_rate=0.5).step(np.ones(3))
         assert x is original
         assert not np.allclose(x, 1.0)
+
+    @settings(deadline=None)
+    @given(shape_lists, st.integers(0, 2**32 - 1), st.sampled_from([5e-3, 1e-2, 0.3]))
+    def test_flat_step_equals_per_array_update(self, shapes, seed, learning_rate):
+        rng = np.random.default_rng(seed)
+        reference = [rng.normal(scale=3.0, size=shape) for shape in shapes]
+        buffer, views = flatten(reference)
+        gradient = np.empty_like(buffer)
+        gradient_views = flat_views(gradient, shapes)
+        gradient_steps = [
+            [
+                rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                for shape in shapes
+            ]
+            for __ in range(40)
+        ]
+        optimizer = Adam(buffer, learning_rate=learning_rate)
+        for gradients in gradient_steps:
+            for view, grad in zip(gradient_views, gradients):
+                view[...] = grad
+            optimizer.step(gradient)
+        _list_adam_steps(reference, gradient_steps, learning_rate)
+        for view, expected in zip(views, reference):
+            assert view.tobytes() == expected.tobytes()
