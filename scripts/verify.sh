@@ -136,6 +136,7 @@ from repro.datasets.sources import build_source_pair
 from repro.experiments.matcher_suite import build_matcher
 from repro.obs import Observability
 from repro.serve import open_session
+from repro.text.feature_store import store_for_task
 
 sources = build_source_pair("dblp_scholar", 0.5)
 task = build_task_from_sources(
@@ -143,8 +144,12 @@ task = build_task_from_sources(
 )
 with obs_package.use(Observability()) as o:
     session = open_session(task, k=10, seed=0)
-    # Fitting uses the classic rebuild path; serving must not.
-    rebuilds = o.metrics.counter("features.incidence_rebuilds")
+    # Every feature view's incidence is append-only: adds must grow the
+    # objects the fit built, never replace them.
+    store = store_for_task(task)
+    incidences = {view: inc for view, (_, inc) in store._incidences.items()}
+    assert incidences, "the fit built no feature view"
+    appends = o.metrics.counter("features.incidence_appends")
     donors = task.right.records()
     session.add_records(
         [Record(f"smoke_{i}", donors[i % len(donors)].source,
@@ -155,8 +160,12 @@ with obs_package.use(Observability()) as o:
     assert o.metrics.counter("blocking.ann.index_builds") == 1.0, (
         "incremental add rebuilt the index"
     )
-    assert o.metrics.counter("features.incidence_rebuilds") == rebuilds, (
-        "serving rebuilt the incidence structure"
+    for view, incidence in incidences.items():
+        assert store._incidences[view][1] is incidence, (
+            f"serving replaced the incidence of view {view}"
+        )
+    assert o.metrics.counter("features.incidence_appends") > appends, (
+        "serving appended no incidence rows"
     )
 
 pair_set = LabeledPairSet()

@@ -235,8 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_float,
         default=None,
         metavar="MIB",
-        help="degrade gracefully (smaller kernel batches, merge backend, "
-        "feature cache off) when RSS passes this budget, then shed units "
+        help="degrade gracefully (smaller kernel batches, feature cache "
+        "off) when RSS passes this budget, then shed units "
         "as BudgetExceeded",
     )
     parser.add_argument(
@@ -485,9 +485,6 @@ def _chaos_command(
         scale=args.scale,
         seed=args.seed,
         n_plans=args.plans,
-        # Kill-resume plans spawn three child runs each; only include
-        # them once the campaign is big enough to amortize that.
-        n_kill_plans=2 if args.plans >= 5 else 0,
         retries=max(args.retries, 2),
         **options,
     )

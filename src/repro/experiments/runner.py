@@ -106,8 +106,8 @@ class RunnerConfig:
 
     * ``memory_budget_mb`` / ``disk_reserve_mb`` — arm the
       :class:`ResourceGuard`: past the budget the runner degrades
-      gracefully (smaller kernel batches, merge backend, feature cache
-      off) before shedding units as ``BudgetExceeded`` failures;
+      gracefully (smaller kernel batches, feature cache off) before
+      shedding units as ``BudgetExceeded`` failures;
     * ``adaptive_deadlines`` — learn per-phase deadlines from healthy
       durations (p99 × margin) instead of one fixed ``--timeout``;
     * ``lease_timeout_seconds`` — how long a write-bearing unit waits

@@ -12,6 +12,8 @@ implicitly).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.data.pairs import RecordPair
@@ -65,13 +67,17 @@ class LexicalEvidence:
         return cached
 
     def _idf_jaccard(self, left: set[str], right: set[str]) -> float:
+        # ``math.fsum`` is exactly rounded, so the sums do not depend on
+        # the sets' iteration order (which follows the string-hash seed).
         union = left | right
         if not union:
             return 0.0
-        total = sum(self._vectorizer.idf(token) for token in union)
+        total = math.fsum(self._vectorizer.idf(token) for token in union)
         if total == 0:
             return 0.0
-        shared = sum(self._vectorizer.idf(token) for token in left & right)
+        shared = math.fsum(
+            self._vectorizer.idf(token) for token in left & right
+        )
         return shared / total
 
     def features(self, pair: RecordPair) -> np.ndarray:

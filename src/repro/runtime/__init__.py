@@ -26,8 +26,7 @@ pieces the experiment layer builds on:
   ``CircuitOpen`` failure instead of burning its retry budget.
 * :mod:`repro.runtime.chaos` — seeded chaos campaigns
   (:class:`ChaosCampaign`) asserting verdicts survive randomized
-  multi-site fault plans, plus the SIGKILL-based crash-consistency
-  checker (:func:`check_crash_consistency`).
+  multi-site fault plans.
 * :mod:`repro.runtime.state` — :class:`~repro.runtime.state.StateDir`,
   the one durable-state primitive of the runner, ``serve --state`` and
   ``scale-up --state``: a lease, a journal and the envelopes it trusts,
@@ -65,11 +64,9 @@ from repro.runtime.cache import (
 from repro.runtime.chaos import (
     CampaignReport,
     ChaosCampaign,
-    CrashCheckResult,
     FaultPlan,
     PlannedFault,
     PlanResult,
-    check_crash_consistency,
     generate_plans,
 )
 from repro.runtime.doctor import (
@@ -115,7 +112,6 @@ __all__ = [
     "ChaosCampaign",
     "CheckpointJournal",
     "CircuitBreaker",
-    "CrashCheckResult",
     "DeadlineExceeded",
     "DiskFull",
     "DoctorFinding",
@@ -133,7 +129,6 @@ __all__ = [
     "atomic_write_text",
     "atomic_writer",
     "audit_lease",
-    "check_crash_consistency",
     "clear_recorded_failures",
     "generate_plans",
     "pid_alive",

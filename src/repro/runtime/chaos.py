@@ -1,24 +1,23 @@
-"""Chaos campaigns: prove that verdicts survive faults, kills and corruption.
+"""Chaos campaigns: prove that verdicts survive faults and corruption.
 
 The reproduction's central claim — benchmark verdicts are stable
 properties of dataset difficulty — only holds operationally if a sweep
-that crashes, is killed, or hits corrupted state resumes to the *same*
-verdicts as a clean run. This module turns that property into an
-executable assertion, two ways:
+that crashes or hits corrupted state resumes to the *same* verdicts as a
+clean run. :class:`ChaosCampaign` turns that property into an executable
+assertion: it runs a seeded schedule of randomized multi-site
+:class:`FaultPlan`\\ s (drawn from the experiment layer's fault sites,
+including the torn-write sites ``journal:append`` and
+``cache:torn-write``) against real sweeps and diffs every plan's
+surviving state against a fault-free baseline: a non-degraded cell must
+score exactly what the baseline scored, a degraded cell must be marked
+degraded and carry a :class:`~repro.runtime.policy.FailureRecord`
+(never silently promoted to a real score), and measured practical
+verdicts must agree.
 
-* :class:`ChaosCampaign` — runs a seeded schedule of randomized
-  multi-site :class:`FaultPlan`\\ s (drawn from the experiment layer's
-  fault sites, including the torn-write sites ``journal:append`` and
-  ``cache:torn-write``) against real sweeps and diffs every plan's
-  surviving state against a fault-free baseline: a non-degraded cell must
-  score exactly what the baseline scored, a degraded cell must be marked
-  degraded and carry a :class:`~repro.runtime.policy.FailureRecord`
-  (never silently promoted to a real score), and measured practical
-  verdicts must agree.
-* :func:`check_crash_consistency` — SIGKILLs a child ``python -m repro``
-  process at a fault-site-triggered point (the ``kill`` fault kind),
-  resumes from journal + cache, and diffs the final sweep state against
-  an uninterrupted control run.
+Process kills are not campaign plans: the crash-consistency test
+(``tests/runtime/test_crash_consistency.py``) SIGKILLs each durable-state
+writer at its fault sites, runs ``repro doctor`` and resumes against an
+uninterrupted control.
 
 Everything is seeded: the same ``(seed, n_plans, sites)`` generates the
 same schedule, and each plan's faults use seeded pass probabilities, so a
@@ -30,9 +29,6 @@ from __future__ import annotations
 import math
 import random
 import shutil
-import signal
-import subprocess
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +53,7 @@ class PlannedFault:
     """One armed site of a fault plan."""
 
     site: str
-    kind: str  # "error" | "corrupt" | "torn" | "kill"
+    kind: str  # "error" | "corrupt" | "torn"
     times: int | None = 1
     probability: float = 1.0
 
@@ -76,9 +72,6 @@ class FaultPlan:
     plan_id: int
     seed: int
     faults: tuple[PlannedFault, ...]
-    #: Kill-resume plan: run a child process, SIGKILL it at ``kill_site``,
-    #: then resume and check crash consistency instead of in-process diffs.
-    kill_site: str | None = None
 
     def arm(self) -> None:
         for planned in self.faults:
@@ -92,8 +85,6 @@ class FaultPlan:
 
     def describe(self) -> str:
         parts = [planned.describe() for planned in self.faults]
-        if self.kill_site is not None:
-            parts.append(f"{self.kill_site}=kill")
         body = ", ".join(parts) if parts else "no faults"
         return f"plan {self.plan_id} (seed {self.seed}): {body}"
 
@@ -134,19 +125,12 @@ class CampaignReport:
         headers = ["plan", "faults", "degraded", "absorbed", "verdicts"]
         rows = []
         for result in self.results:
-            kind = "kill-resume" if result.plan.kill_site else "in-process"
             faults_text = ", ".join(
                 planned.describe() for planned in result.plan.faults
             )
-            if result.plan.kill_site:
-                faults_text = ", ".join(
-                    part
-                    for part in (faults_text, f"{result.plan.kill_site}=kill")
-                    if part
-                )
             rows.append(
                 [
-                    f"{result.plan.plan_id} ({kind})",
+                    str(result.plan.plan_id),
                     faults_text or "-",
                     str(result.degraded_cells),
                     str(result.failures_absorbed),
@@ -185,13 +169,6 @@ def default_site_pool(
         pool.append(PlannedFault(f"sweep:{dataset_id}", "error", times=1))
         pool.append(PlannedFault(f"dataset:{dataset_id}", "error", times=1))
     return tuple(pool)
-
-
-def default_kill_sites(dataset_ids: Sequence[str]) -> tuple[str, ...]:
-    """Deterministic points at which kill-resume plans murder the child."""
-    sites = ["journal:append", "cache:write", "matcher:*"]
-    sites.extend(f"sweep:{dataset_id}" for dataset_id in dataset_ids)
-    return tuple(sites)
 
 
 def frontend_site_pool() -> tuple[PlannedFault, ...]:
@@ -235,36 +212,17 @@ def generate_plans(
     seed: int,
     site_pool: Sequence[PlannedFault],
     *,
-    kill_sites: Sequence[str] = (),
-    n_kill_plans: int = 0,
     max_faults_per_plan: int = 3,
 ) -> tuple[FaultPlan, ...]:
     """A seeded schedule of ``n_plans`` plans over ``site_pool``.
 
-    The last ``n_kill_plans`` plans are kill-resume plans drawing their
-    kill point from ``kill_sites``; the rest arm 1..``max_faults_per_plan``
-    distinct-site faults each. Pure function of its arguments.
+    Each plan arms 1..``max_faults_per_plan`` distinct-site faults. Pure
+    function of its arguments.
     """
-    if n_kill_plans > n_plans:
-        raise ValueError(
-            f"n_kill_plans ({n_kill_plans}) cannot exceed n_plans ({n_plans})"
-        )
-    if n_kill_plans and not kill_sites:
-        raise ValueError("kill plans requested but kill_sites is empty")
     rng = random.Random(seed)
     plans: list[FaultPlan] = []
     for plan_id in range(n_plans):
         plan_seed = rng.randrange(2**31)
-        if plan_id >= n_plans - n_kill_plans:
-            plans.append(
-                FaultPlan(
-                    plan_id=plan_id,
-                    seed=plan_seed,
-                    faults=(),
-                    kill_site=rng.choice(list(kill_sites)),
-                )
-            )
-            continue
         n_faults = rng.randint(1, max(1, max_faults_per_plan))
         chosen: dict[str, PlannedFault] = {}
         for planned in rng.sample(list(site_pool), k=min(n_faults, len(site_pool))):
@@ -383,8 +341,7 @@ class ChaosCampaign:
     ``run()`` computes the fault-free baseline once (fresh cache
     directory, no faults armed), then executes every plan with its faults
     armed in an isolated cache directory and records divergences.
-    Kill-resume plans delegate to :func:`check_crash_consistency` and run
-    real child processes. ``breaker_threshold`` arms circuit breakers on
+    ``breaker_threshold`` arms circuit breakers on
     the plan policies, so a matcher that fails on every pass
     short-circuits instead of burning retries across the whole campaign.
     """
@@ -393,7 +350,6 @@ class ChaosCampaign:
     scale: float = DEFAULT_SCALE
     seed: int = 0
     n_plans: int = 20
-    n_kill_plans: int = 2
     max_faults_per_plan: int = 3
     retries: int = 2
     breaker_threshold: int | None = 5
@@ -473,21 +429,6 @@ class ChaosCampaign:
         """Execute one plan against a fresh cache dir and diff the state."""
         baseline = self.baseline()
         plan_dir = self.workdir / f"plan_{plan.plan_id:03d}"
-        if plan.kill_site is not None:
-            check = check_crash_consistency(
-                datasets=self.datasets,
-                scale=self.scale,
-                seed=self.seed,
-                kill_site=plan.kill_site,
-                workdir=plan_dir,
-            )
-            obs.inc("chaos.plans")
-            return PlanResult(
-                plan=plan,
-                divergences=tuple(check.divergences),
-                degraded_cells=0,
-                failures_absorbed=0,
-            )
         faults.reset()
         plan.arm()
         options = self._plan_runner_options(plan)
@@ -506,8 +447,8 @@ class ChaosCampaign:
         finally:
             faults.reset()
             # guard:oom plans walk the global degradation ladder (kernel
-            # batch size, backend preference, feature cache); undo it so
-            # later plans and the next baseline run full-speed paths.
+            # batch size, feature cache); undo it so later plans and the
+            # next baseline run full-speed paths.
             guard_module.reset_global_degradations()
         divergences = diff_sweep_states(baseline, state)
         divergences.extend(
@@ -548,8 +489,6 @@ class ChaosCampaign:
             self.n_plans,
             self.seed,
             self.site_pool,
-            kill_sites=default_kill_sites(self.datasets),
-            n_kill_plans=self.n_kill_plans,
             max_faults_per_plan=self.max_faults_per_plan,
         )
         try:
@@ -564,166 +503,3 @@ class ChaosCampaign:
             scale=self.scale,
             results=results,
         )
-
-
-# -- crash-consistency checking --------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrashCheckResult:
-    """Outcome of one kill/resume/diff cycle."""
-
-    kill_site: str
-    killed: bool
-    kill_returncode: int | None
-    resume_returncode: int | None
-    divergences: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.killed and self.resume_returncode == 0 and not self.divergences
-
-
-def _repro_command(
-    datasets: Sequence[str], scale: float, seed: int, cache_dir: Path
-) -> list[str]:
-    return [
-        sys.executable,
-        "-m",
-        "repro",
-        "table4",
-        "--datasets",
-        ",".join(datasets),
-        "--scale",
-        str(scale),
-        "--seed",
-        str(seed),
-        "--cache",
-        str(cache_dir),
-    ]
-
-
-def _child_env() -> dict[str, str]:
-    """The child's environment, with the repro package importable."""
-    import os
-
-    import repro
-
-    env = dict(os.environ)
-    package_root = str(Path(repro.__file__).resolve().parents[1])
-    existing = env.get("PYTHONPATH", "")
-    if package_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
-    return env
-
-
-def check_crash_consistency(
-    *,
-    datasets: Sequence[str] = DEFAULT_DATASETS,
-    scale: float = DEFAULT_SCALE,
-    seed: int = 0,
-    kill_site: str = "journal:append",
-    workdir: Path | str | None = None,
-    timeout_seconds: float = 600.0,
-) -> CrashCheckResult:
-    """Kill a child ``repro`` run at ``kill_site``, resume, diff vs control.
-
-    Three child processes: an uninterrupted *control* run, a run armed
-    with ``--inject '<kill_site>=kill'`` that dies by SIGKILL at the
-    site, and a *resume* run over the killed run's cache directory. The
-    final sweep states of the resumed and the control directory are
-    loaded in this process (pure cache reads) and diffed with
-    :func:`diff_sweep_states` both ways — crash consistency means the
-    states are identical, not merely compatible.
-    """
-    from repro.experiments.runner import ExperimentRunner, RunnerConfig
-
-    owns_workdir = workdir is None
-    base = Path(
-        tempfile.mkdtemp(prefix="repro-crash-") if workdir is None else workdir
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    control_dir = base / "control"
-    crash_dir = base / "crashed"
-    env = _child_env()
-    try:
-        with obs.span("chaos.crash_check", kill_site=kill_site):
-            control = subprocess.run(
-                _repro_command(datasets, scale, seed, control_dir),
-                env=env,
-                capture_output=True,
-                timeout=timeout_seconds,
-            )
-            if control.returncode != 0:
-                return CrashCheckResult(
-                    kill_site=kill_site,
-                    killed=False,
-                    kill_returncode=None,
-                    resume_returncode=None,
-                    divergences=(
-                        "control run failed: "
-                        + control.stderr.decode(errors="replace")[-500:],
-                    ),
-                )
-            killed = subprocess.run(
-                _repro_command(datasets, scale, seed, crash_dir)
-                + ["--inject", f"{kill_site}=kill"],
-                env=env,
-                capture_output=True,
-                timeout=timeout_seconds,
-            )
-            was_killed = killed.returncode == -signal.SIGKILL
-            obs.inc("chaos.kills")
-            resume = subprocess.run(
-                _repro_command(datasets, scale, seed, crash_dir),
-                env=env,
-                capture_output=True,
-                timeout=timeout_seconds,
-            )
-            divergences: list[str] = []
-            if not was_killed:
-                divergences.append(
-                    f"child was not SIGKILLed at {kill_site!r} "
-                    f"(exit code {killed.returncode}); the kill fault "
-                    f"never fired"
-                )
-            if resume.returncode != 0:
-                divergences.append(
-                    "resume run failed: "
-                    + resume.stderr.decode(errors="replace")[-500:]
-                )
-            else:
-                control_state = collect_sweep_state(
-                    ExperimentRunner(
-                        config=RunnerConfig(
-                            scale=scale, seed=seed, cache_dir=control_dir
-                        )
-                    ),
-                    datasets,
-                )
-                resumed_state = collect_sweep_state(
-                    ExperimentRunner(
-                        config=RunnerConfig(
-                            scale=scale, seed=seed, cache_dir=crash_dir
-                        )
-                    ),
-                    datasets,
-                )
-                divergences.extend(
-                    diff_sweep_states(control_state, resumed_state)
-                )
-                divergences.extend(
-                    diff_sweep_states(resumed_state, control_state)
-                )
-            return CrashCheckResult(
-                kill_site=kill_site,
-                killed=was_killed,
-                kill_returncode=killed.returncode,
-                resume_returncode=resume.returncode,
-                divergences=tuple(dict.fromkeys(divergences)),
-            )
-    finally:
-        if owns_workdir:
-            shutil.rmtree(base, ignore_errors=True)

@@ -10,10 +10,10 @@ directory. This module gives the runner the primitives to survive them:
   single fixed ``--timeout``. Deterministic: the deadline for a phase is
   a pure function of the observed-duration history.
 * :class:`ResourceGuard` — in-process RSS + disk-space monitoring with a
-  graceful-degradation ladder: shrink the kernel batch size, force the
-  merge backend over the bitset, disable the feature cache, and only
-  then shed the unit as :class:`BudgetExceeded`. Every step emits a
-  ``guard.*`` metric and annotates the active trace span.
+  two-rung graceful-degradation ladder: shrink the kernel batch size,
+  then disable the feature cache, and only then shed the unit as
+  :class:`BudgetExceeded`. Every step emits a ``guard.*`` metric and
+  annotates the active trace span.
 * :class:`RunLease` — an owner-pid/heartbeat lock file on the cache
   directory so two concurrent runs cannot interleave journal or cache
   writes. Stale leases (dead pid, silent heartbeat) are taken over;
@@ -197,12 +197,6 @@ def _degrade_shrink_batch() -> None:
     kernels.set_batch_limit(256 if current is None else max(32, current // 4))
 
 
-def _degrade_force_merge_backend() -> None:
-    from repro.text import kernels
-
-    kernels.set_backend_preference("merge")
-
-
 def _degrade_disable_feature_cache() -> None:
     from repro.text import feature_store
 
@@ -214,13 +208,12 @@ def _degrade_disable_feature_cache() -> None:
 #: :func:`reset_global_degradations`.
 _LADDER: tuple[tuple[str, Callable[[], None]], ...] = (
     ("shrink-kernel-batch", _degrade_shrink_batch),
-    ("force-merge-backend", _degrade_force_merge_backend),
     ("disable-feature-cache", _degrade_disable_feature_cache),
 )
 
-#: Ladder index of the disk-relevant step (smaller batches / backend
-#: choice do nothing for a full volume; only the cache writes do).
-_DISK_STEP = 2
+#: Ladder index of the disk-relevant step (smaller batches do nothing for
+#: a full volume; only the cache writes do).
+_DISK_STEP = 1
 
 
 def reset_global_degradations() -> None:
@@ -234,7 +227,6 @@ def reset_global_degradations() -> None:
     except Exception:  # pragma: no cover - text layer unavailable
         return
     kernels.set_batch_limit(None)
-    kernels.set_backend_preference("auto")
     feature_store.set_cache_disabled(False)
 
 

@@ -28,7 +28,7 @@ through the full pipeline without ever materializing the dataset:
 
 Between phases the shared :class:`~repro.runtime.guard.ResourceGuard`
 enforces ``--memory-budget`` / ``--disk-reserve``: degradation first
-(smaller kernel batches, merge backend, feature cache off), then a
+(smaller kernel batches, feature cache off), then a
 ``BudgetExceeded`` abort at a shard boundary — never a silent OOM kill.
 """
 
@@ -439,7 +439,7 @@ class ShardedSweep:
 
             # Label + predict the shard's candidates. The extractor hangs
             # off a per-shard shim task, so the FeatureStore (token and
-            # q-gram planes, bitset scratch) is freed with the shard.
+            # q-gram planes, incidences) is freed with the shard.
             shard_task = _ShardTask(sources.left.schema.attributes)
             matcher = EsdeMatcher.from_payload(payload, shard_task)
             pairs = LabeledPairSet()

@@ -3,8 +3,8 @@
 The offline pipeline (:mod:`repro.experiments`) rebuilds everything per
 run — fine for benchmark sweeps, wasteful for the paper's deployment
 question ("how would this matcher behave as a service?"). This package
-keeps a fitted matcher, a persistent ANN index and an incremental
-:class:`~repro.text.feature_store.FeatureStore` resident in one
+keeps a fitted matcher, a persistent ANN index and the task's
+append-only :class:`~repro.text.feature_store.FeatureStore` resident in one
 :class:`MatcherSession`:
 
 * :meth:`MatcherSession.add_records` tokenizes/q-grams new records once

@@ -10,9 +10,11 @@ the test suite pins:
    the same extractor and matcher ``predict`` path as the offline runner,
    so predictions on the same pairs are bit-identical.
 2. **No rebuilds** — ``add_records`` appends to the small-world graph /
-   LSH buckets and the incremental incidence structure; the
-   ``blocking.ann.index_builds`` and ``features.incidence_rebuilds``
-   counters stay flat after construction.
+   LSH buckets, and the feature store's per-view incidence (append-only
+   on every path, see :mod:`repro.text.feature_store`) grows in place:
+   ``blocking.ann.index_builds`` stays flat after construction, and each
+   view keeps the same incidence object while
+   ``features.incidence_appends`` grows.
 3. **Snapshot fidelity** — ``save``/``load`` round-trips through the
    checksummed envelope format; the restored session re-interns records
    in the original insertion order, so its index answers identically.
@@ -169,9 +171,6 @@ class MatcherSession:
                 matcher.fit(task)
         self._matcher = matcher
         self._store = store_for_task(task)
-        # Fit used the classic rebuild path above; from here on every
-        # incidence structure grows append-only.
-        self._store.enable_incremental_all()
         if records is None:
             records = task.right.records()
         with obs.timed("serve.index_build_seconds"):

@@ -6,7 +6,10 @@ on: whitespace tokenization, character q-grams, optional cleaning (stop-word
 removal plus stemming, as used by the DeepBlocker tuner in Section VI), token
 set similarities (cosine, Jaccard, Dice, overlap) and the classic edit-based
 measures used by Magellan-style feature extraction (Levenshtein, Jaro,
-Jaro-Winkler, Monge-Elkan).
+Jaro-Winkler, Monge-Elkan). Batched set measures run on
+:mod:`repro.text.kernels`: every feature view's records live in one
+append-only :class:`IncrementalIncidence`, and pair intersections are an
+exact int64 merge over it.
 """
 
 from repro.text.feature_store import (
@@ -18,26 +21,21 @@ from repro.text.feature_store import (
     store_for_task,
 )
 from repro.text.kernels import (
-    BITSET_MAX_VOCAB,
     KERNEL_VERSION,
     SET_MEASURES,
     CharTable,
+    IncrementalIncidence,
     PackedRows,
     QGramAlphabetOverflow,
     QGramCodec,
-    RecordIncidence,
     EMPTY_SIGNATURE,
     TokenInterner,
     band_keys,
     batch_intersection_counts,
-    densify_csr,
     gather_csr,
     minhash_params,
     minhash_signatures,
-    pack_rows,
-    set_similarity_matrix,
     set_similarity_matrix_indexed,
-    set_similarity_matrix_packed,
 )
 from repro.text.tokenize import (
     STOPWORDS,
@@ -62,7 +60,6 @@ from repro.text.similarity import (
 from repro.text.vectorize import TfIdfVectorizer, Vocabulary
 
 __all__ = [
-    "BITSET_MAX_VOCAB",
     "KERNEL_VERSION",
     "SET_MEASURES",
     "STOPWORDS",
@@ -70,10 +67,10 @@ __all__ = [
     "EMPTY_SIGNATURE",
     "FeatureMatrixCache",
     "FeatureStore",
+    "IncrementalIncidence",
     "PackedRows",
     "QGramAlphabetOverflow",
     "QGramCodec",
-    "RecordIncidence",
     "TfIdfVectorizer",
     "TokenInterner",
     "Vocabulary",
@@ -81,16 +78,12 @@ __all__ = [
     "band_keys",
     "batch_intersection_counts",
     "clean_tokens",
-    "densify_csr",
     "feature_cache_scope",
     "gather_csr",
     "minhash_params",
     "minhash_signatures",
-    "pack_rows",
     "set_feature_cache",
-    "set_similarity_matrix",
     "set_similarity_matrix_indexed",
-    "set_similarity_matrix_packed",
     "store_for_task",
     "cosine_similarity",
     "dice_similarity",

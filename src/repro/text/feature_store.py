@@ -8,7 +8,11 @@ int64 id array (see :mod:`repro.text.kernels`) the first time the record
 is seen, and every extractor (:class:`~repro.matchers.features
 .EsdeFeatureExtractor`, :class:`~repro.matchers.features
 .MagellanFeatureExtractor`, the linearity sweeps) batches its similarity
-columns through the same rows.
+columns through the same rows. Each view keeps one append-only
+:class:`~repro.text.kernels.IncrementalIncidence` over its encoded
+records, offline and in a serving session alike: records seen for the
+first time append as a batch, and only a q-gram codec overflow (which
+re-interns the view) starts the structure afresh.
 
 On top sits an optional **content-addressed disk cache**
 (:class:`FeatureMatrixCache`) reusing the PR-1 atomic checksummed cache
@@ -55,10 +59,7 @@ from repro.text.kernels import (
     IncrementalIncidence,
     QGramAlphabetOverflow,
     QGramCodec,
-    RecordIncidence,
     TokenInterner,
-    densify_csr,
-    pack_rows,
     set_similarity_matrix_indexed,
 )
 
@@ -203,17 +204,10 @@ class FeatureStore:
         # they use per-gram dict interning instead (always correct, just
         # slower).
         self._fallback_views: set[View] = set()
-        # Per-view record incidence over *all* encoded records, rebuilt
-        # only when the view gained records (keyed by the row count at
-        # build time): (n_rows, key -> row position, incidence).
-        self._incidence_cache: dict[
-            View, tuple[int, dict[tuple[str, str], int], RecordIncidence]
-        ] = {}
-        # Views opted into append-only incidence (repro.serve): rows of
-        # new records extend the structure in place, never rebuilding.
-        self._incremental_views: set[View] = set()
-        self._incremental_all = False
-        self._incremental: dict[
+        # Per-view append-only record incidence over every encoded
+        # record: (key -> row position, incidence). Rows of new records
+        # extend it in place; only a codec overflow (rows()) drops it.
+        self._incidences: dict[
             View, tuple[dict[tuple[str, str], int], IncrementalIncidence]
         ] = {}
         # Last matrix per (spec, names): (n_pairs, chain digest at
@@ -330,12 +324,11 @@ class FeatureStore:
                     )
                 except QGramAlphabetOverflow:
                     # Codes of different alphabet epochs must never mix:
-                    # drop every codec row and re-intern below. Any
-                    # incremental incidence holds epoch-stale ids too —
-                    # it rebuilds once from the re-interned rows.
+                    # drop every codec row and re-intern below. The
+                    # view's incidence holds epoch-stale ids too; it is
+                    # dropped and refilled from the re-interned rows.
                     self._fallback_views.add(view)
-                    self._incidence_cache.pop(view, None)
-                    self._incremental.pop(view, None)
+                    self._incidences.pop(view, None)
                     row_map.clear()
                     use_codec = False
                 else:
@@ -353,64 +346,28 @@ class FeatureStore:
             for record in record_list
         ]
 
-    def enable_incremental(self, view: View) -> None:
-        """Switch *view* to append-only incidence (the serving mode).
-
-        An incremental view's :class:`~repro.text.kernels
-        .IncrementalIncidence` extends in place as records arrive —
-        ``features.incidence_appends`` counts extensions and
-        ``features.incidence_rebuilds`` provably stays flat — at the
-        cost of the merge backend's slightly slower intersections. Set
-        intersections are id-scheme-invariant, so similarities are
-        bit-identical to the rebuilt structure.
-        """
-        self._incremental_views.add(view)
-
-    def enable_incremental_all(self) -> None:
-        """Every view — current and future — goes append-only (serving)."""
-        self._incremental_all = True
-
     def _incidence(
         self, view: View
-    ) -> tuple[dict[tuple[str, str], int], RecordIncidence]:
-        """The record incidence of every encoded record, memoized.
+    ) -> tuple[dict[tuple[str, str], int], IncrementalIncidence]:
+        """The view's incidence over every encoded record, kept current.
 
-        Rebuilt only when the view gained records — unless the view is
-        :meth:`enable_incremental`, in which case new rows append to a
-        live structure and nothing is ever rebuilt. Codec views first
-        map their wide content-derived codes to dense ranks; the rank
-        vocabulary is content-defined, so a rebuild never changes
-        existing similarity results, only extends the id space. Token
-        and fallback views already hold dense interner ids.
+        Records encoded since the last call append as one batch
+        (``features.incidence_appends``); the structure, and every row
+        position handed out before, stays as it was. Set intersections
+        do not depend on the id scheme, so codec codes, interner ids and
+        fallback ids all go through the same append.
         """
         row_map = self._rows[view]
-        if self._incremental_all or view in self._incremental_views:
-            state = self._incremental.get(view)
-            if state is None:
-                state = self._incremental[view] = ({}, IncrementalIncidence())
-            positions, incidence = state
-            if len(positions) < len(row_map):
-                fresh = list(row_map)[len(positions) :]
-                incidence.append_rows([row_map[key] for key in fresh])
-                for key in fresh:
-                    positions[key] = len(positions)
-                obs.inc("features.incidence_appends")
-            return positions, incidence
-        cached = self._incidence_cache.get(view)
-        if cached is not None and cached[0] == len(row_map):
-            return cached[1], cached[2]
-        keys = list(row_map)
-        rows = [row_map[key] for key in keys]
-        if view[0] == "qgrams" and view not in self._fallback_views:
-            indptr, ids, vocab_size = densify_csr(rows)
-        else:
-            packed = pack_rows(rows)
-            indptr, ids = packed.indptr, packed.ids
-            vocab_size = len(self._interners[view])
-        incidence = RecordIncidence(indptr, ids, vocab_size)
-        positions = {key: index for index, key in enumerate(keys)}
-        self._incidence_cache[view] = (len(row_map), positions, incidence)
-        obs.inc("features.incidence_rebuilds")
+        state = self._incidences.get(view)
+        if state is None:
+            state = self._incidences[view] = ({}, IncrementalIncidence())
+        positions, incidence = state
+        if len(positions) < len(row_map):
+            fresh = list(row_map)[len(positions) :]
+            incidence.append_rows([row_map[key] for key in fresh])
+            for key in fresh:
+                positions[key] = len(positions)
+            obs.inc("features.incidence_appends")
         return positions, incidence
 
     @staticmethod
@@ -453,8 +410,8 @@ class FeatureStore:
         """Set similarities for pairs given in :meth:`pair_index` form.
 
         Each distinct record is encoded once; a batch then reduces to
-        two row-index gathers into the view's memoized
-        :class:`~repro.text.kernels.RecordIncidence`, so thousands of
+        two row-index gathers into the view's append-only
+        :class:`~repro.text.kernels.IncrementalIncidence`, so thousands of
         pairs over a few hundred records cost no per-pair Python at all.
         """
         self.rows(records, view)

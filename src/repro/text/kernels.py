@@ -14,10 +14,12 @@ sweep. This module batches the primitive:
   window's q ids into one content-derived int64 code, so whole record
   batches are encoded with a handful of array ops
   (:class:`QGramAlphabetOverflow` falls a view back to dict interning);
-  :func:`densify_csr` then compresses the wide codes to dense ranks;
-* :func:`pack_rows` / :func:`gather_csr` stack per-record arrays into a
-  CSR-style incidence structure (``indptr`` + flat ``ids``), one row per
-  pair side;
+* an :class:`IncrementalIncidence` holds one view's records as an
+  append-only CSR structure (``indptr`` + flat dense ``ids``, one row per
+  record): :meth:`IncrementalIncidence.append_rows` maps a batch of raw
+  codes to dense ids through a :class:`CodeTable` and deduplicates every
+  row in one key sort, and :func:`gather_csr` selects the pair sides of
+  a batch as :class:`PackedRows`;
 * :func:`batch_intersection_counts` computes every pair's intersection
   size in one pass — each (row, id) incidence is folded into a single
   integer key ``row * vocab_size + id``; both key arrays are already
@@ -42,11 +44,6 @@ from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # scipy is a declared dependency, but stay importable without it.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised via the fallback path
-    _sparse = None
 
 from repro import obs
 
@@ -128,17 +125,6 @@ class PackedRows:
             np.arange(self.n_rows, dtype=np.int64) * vocab_size, self.sizes()
         )
         return rows + self.ids
-
-
-def pack_rows(rows: Sequence[np.ndarray]) -> PackedRows:
-    """Stack per-record sorted id arrays into one :class:`PackedRows`."""
-    sizes = np.fromiter(
-        (len(row) for row in rows), dtype=np.int64, count=len(rows)
-    )
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    ids = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    return PackedRows(indptr=indptr, ids=ids)
 
 
 _EMPTY_ROW = np.empty(0, dtype=np.int64)
@@ -248,9 +234,9 @@ class QGramCodec:
 
         Codes for all rows are built by q shifted gathers over the
         concatenated batch. Rows are **not** deduplicated or sorted here
-        — codes are content-derived, so :func:`densify_csr` dedups every
-        row in the same pass that maps codes to dense ranks, saving a
-        full sort per batch.
+        — codes are content-derived, so
+        :meth:`IncrementalIncidence.append_rows` dedups every row in the
+        same pass that maps codes to dense ids, saving a sort per row.
         """
         if len(self.chars) > self.capacity:
             raise QGramAlphabetOverflow(
@@ -304,39 +290,6 @@ class QGramCodec:
         for where, index in enumerate(long_index.tolist()):
             rows[index] = codes[bounds[where] : bounds[where + 1]]
         return rows
-
-
-def densify_csr(
-    rows: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dense-rank, per-row-deduplicated CSR from raw code rows.
-
-    The codes of a :class:`QGramCodec` span the full int64 range, too
-    wide for a ``row * vocab_size + id`` fold; one ``np.unique`` over
-    all rows maps them to dense ranks. Input rows may repeat codes in
-    any order (:meth:`QGramCodec.encode` emits raw windows); each output
-    row is sorted and duplicate-free, deduplicated in the same pass via
-    a ``row * vocab + rank`` key sort. Returns
-    ``(indptr, ids, vocab_size)``.
-    """
-    empty_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    if not rows:
-        return empty_indptr, _EMPTY_ROW, 0
-    concatenated = np.concatenate(rows)
-    if len(concatenated) == 0:
-        return empty_indptr, concatenated, 0
-    unique_codes, inverse = np.unique(concatenated, return_inverse=True)
-    vocab_size = len(unique_codes)
-    lengths = np.fromiter(
-        (len(row) for row in rows), dtype=np.int64, count=len(rows)
-    )
-    row_of = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
-    keys = _sorted_unique(row_of * vocab_size + inverse)
-    key_rows = keys // vocab_size
-    ids = keys - key_rows * vocab_size
-    indptr = empty_indptr
-    np.cumsum(np.bincount(key_rows, minlength=len(rows)), out=indptr[1:])
-    return indptr, ids, vocab_size
 
 
 def gather_csr(
@@ -477,20 +430,13 @@ def band_keys(signatures: np.ndarray, bands: int) -> np.ndarray:
     return folded
 
 
-#: Vocabulary size up to which :class:`RecordIncidence` uses the dense
-#: uint64 bitset (popcount) backend; above it, a sparse row merge wins.
-BITSET_MAX_VOCAB = 4096
-
-# -- resource-guard degradation hooks ---------------------------------------
+# -- resource-guard degradation hook ----------------------------------------
 #
 # The guard's ladder (repro.runtime.guard) trades speed for memory under
 # RSS pressure: capping the per-call pair batch bounds the temporaries of
-# a kernel pass, and forcing the merge backend skips the O(rows x vocab)
-# bitset/CSR incidence build. All backends are exact (bit-identical
-# outputs), so degradation never changes results.
+# a kernel pass. Rows are independent, so the cap never changes results.
 
 _BATCH_LIMIT: int | None = None
-_BACKEND_PREFERENCE = "auto"
 
 
 def set_batch_limit(limit: int | None) -> None:
@@ -503,107 +449,6 @@ def set_batch_limit(limit: int | None) -> None:
 
 def batch_limit() -> int | None:
     return _BATCH_LIMIT
-
-
-def set_backend_preference(preference: str) -> None:
-    """``"auto"`` (fastest available) or ``"merge"`` (lowest memory)."""
-    global _BACKEND_PREFERENCE
-    if preference not in ("auto", "merge"):
-        raise ValueError(
-            f"backend preference must be 'auto' or 'merge', got {preference!r}"
-        )
-    _BACKEND_PREFERENCE = preference
-
-
-def backend_preference() -> str:
-    return _BACKEND_PREFERENCE
-
-
-class RecordIncidence:
-    """Record-by-vocabulary incidence for batched pair intersections.
-
-    Built once per (view, record population) from a dense-id CSR; a
-    batch of pairs is then just two row-index arrays, so intersection
-    sizes come straight from the record rows without re-packing per
-    pair. Three backends, fastest first:
-
-    * a dense uint64 **bitset** with :func:`numpy.bitwise_count` for
-      small vocabularies (``<=`` :data:`BITSET_MAX_VOCAB`);
-    * a scipy CSR **elementwise multiply** (C-speed per-row merge) for
-      large ones;
-    * the :func:`batch_intersection_counts` binary-search merge when
-      scipy is unavailable.
-
-    All three produce exact int64 counts, so measure values are
-    bit-identical regardless of backend.
-    """
-
-    __slots__ = ("indptr", "ids", "vocab_size", "row_sizes", "_bits", "_matrix")
-
-    def __init__(
-        self, indptr: np.ndarray, ids: np.ndarray, vocab_size: int
-    ) -> None:
-        self.indptr = indptr
-        self.ids = ids
-        self.vocab_size = vocab_size
-        self.row_sizes = np.diff(indptr)
-        self._bits: np.ndarray | None = None
-        self._matrix = None
-        n_rows = len(indptr) - 1
-        if _BACKEND_PREFERENCE == "merge":
-            # Degraded mode: skip the bitset/CSR builds (their dense
-            # incidence is exactly the allocation memory pressure wants
-            # gone); intersections() falls through to the exact merge.
-            return
-        if 0 < vocab_size <= BITSET_MAX_VOCAB:
-            words = (vocab_size + 63) // 64
-            bits = np.zeros((n_rows, words), dtype=np.uint64)
-            if len(ids):
-                rows_of = np.repeat(
-                    np.arange(n_rows, dtype=np.int64), self.row_sizes
-                )
-                flat_index = rows_of * words + ids // 64
-                masks = np.uint64(1) << (ids % 64).astype(np.uint64)
-                # Rows are sorted, so flat_index is non-decreasing; OR
-                # together the ids landing in the same (row, word) cell
-                # (a plain fancy-index |= would drop duplicates).
-                starts = np.ones(len(flat_index), dtype=bool)
-                np.not_equal(flat_index[1:], flat_index[:-1], out=starts[1:])
-                positions = np.flatnonzero(starts)
-                bits.ravel()[flat_index[positions]] = np.bitwise_or.reduceat(
-                    masks, positions
-                )
-            self._bits = bits
-        elif _sparse is not None:
-            self._matrix = _sparse.csr_matrix(
-                (np.ones(len(ids), dtype=np.int64), ids, indptr),
-                shape=(n_rows, max(vocab_size, 1)),
-            )
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.indptr) - 1
-
-    def intersections(
-        self, left_index: np.ndarray, right_index: np.ndarray
-    ) -> np.ndarray:
-        """``|row[left_index[i]] & row[right_index[i]]|`` per pair."""
-        if len(left_index) == 0 or len(self.ids) == 0:
-            return np.zeros(len(left_index), dtype=np.int64)
-        if self._bits is not None:
-            return np.bitwise_count(
-                self._bits[left_index] & self._bits[right_index]
-            ).sum(axis=1, dtype=np.int64)
-        if self._matrix is not None:
-            product = self._matrix[left_index].multiply(
-                self._matrix[right_index]
-            )
-            return np.asarray(product.sum(axis=1)).ravel().astype(np.int64)
-        left = gather_csr(self.indptr, self.ids, left_index)
-        right = gather_csr(self.indptr, self.ids, right_index)
-        return batch_intersection_counts(
-            left, right, max(self.vocab_size, 1)
-        )
 
 
 # -- measure kernels ---------------------------------------------------------
@@ -666,55 +511,8 @@ def _resolve_kernels(measures: Iterable[str]) -> list:
     return kernels
 
 
-def set_similarity_matrix_packed(
-    left: PackedRows,
-    right: PackedRows,
-    vocab_size: int,
-    measures: Iterable[str] = SET_MEASURES,
-) -> np.ndarray:
-    """``(n_pairs, n_measures)`` similarity matrix from packed pair sides.
-
-    The core of :func:`set_similarity_matrix`, taking pre-assembled
-    :class:`PackedRows` (row ``i`` of each side is one pair); *measures*
-    name columns from ``{"cosine", "dice", "jaccard", "overlap"}`` in
-    output order. Emits the ``kernel.*`` metrics for exactly one batch.
-    """
-    kernels = _resolve_kernels(measures)
-
-    started = time.perf_counter()
-    inter = batch_intersection_counts(left, right, max(vocab_size, 1))
-    size_left = left.sizes()
-    size_right = right.sizes()
-    matrix = np.empty((left.n_rows, len(kernels)), dtype=np.float64)
-    for column, kernel in enumerate(kernels):
-        matrix[:, column] = kernel(inter, size_left, size_right)
-    elapsed = time.perf_counter() - started
-
-    obs.inc("kernel.batches")
-    obs.inc("kernel.pairs", float(left.n_rows))
-    obs.observe("kernel.seconds", elapsed)
-    return matrix
-
-
-def set_similarity_matrix(
-    left_rows: Sequence[np.ndarray],
-    right_rows: Sequence[np.ndarray],
-    vocab_size: int,
-    measures: Iterable[str] = SET_MEASURES,
-) -> np.ndarray:
-    """``(n_pairs, n_measures)`` similarity matrix in one vectorized pass.
-
-    *left_rows* / *right_rows* are per-pair sorted id arrays from one
-    :class:`TokenInterner` of size *vocab_size*; *measures* name columns
-    from ``{"cosine", "dice", "jaccard", "overlap"}`` in output order.
-    """
-    return set_similarity_matrix_packed(
-        pack_rows(left_rows), pack_rows(right_rows), vocab_size, measures
-    )
-
-
 def set_similarity_matrix_indexed(
-    incidence: RecordIncidence,
+    incidence: IncrementalIncidence,
     left_index: np.ndarray,
     right_index: np.ndarray,
     measures: Iterable[str] = SET_MEASURES,
@@ -722,9 +520,9 @@ def set_similarity_matrix_indexed(
     """Similarity matrix for pairs given as record-row index arrays.
 
     The hot entry point of the feature store: the per-record incidence
-    is built once, and each batch costs only index gathers plus the
-    backend's intersection pass. Emits the ``kernel.*`` metrics for
-    exactly one batch, like :func:`set_similarity_matrix_packed`.
+    grows once per record, and each batch costs only index gathers plus
+    the merge intersection pass. Emits the ``kernel.*`` metrics for
+    exactly one batch.
     """
     kernels = _resolve_kernels(measures)
 
@@ -735,13 +533,14 @@ def set_similarity_matrix_indexed(
     # intersection temporaries; rows are independent, so the output is
     # identical and the call still counts as one kernel batch.
     step = n_pairs if _BATCH_LIMIT is None else max(1, _BATCH_LIMIT)
+    row_sizes = incidence.row_sizes
     for begin in range(0, n_pairs, step) if n_pairs else ():
         end = min(begin + step, n_pairs)
         chunk_left = left_index[begin:end]
         chunk_right = right_index[begin:end]
         inter = incidence.intersections(chunk_left, chunk_right)
-        size_left = incidence.row_sizes[chunk_left]
-        size_right = incidence.row_sizes[chunk_right]
+        size_left = row_sizes[chunk_left]
+        size_right = row_sizes[chunk_right]
         for column, kernel in enumerate(kernels):
             matrix[begin:end, column] = kernel(inter, size_left, size_right)
     elapsed = time.perf_counter() - started
@@ -752,14 +551,7 @@ def set_similarity_matrix_indexed(
     return matrix
 
 
-# -- append paths (repro.serve) ----------------------------------------------
-#
-# The batch structures above are built once per record population and
-# rebuilt when it grows — the right trade for offline sweeps, the wrong
-# one for a resident session that keeps absorbing records. The two
-# classes below are their append-only counterparts: a growable code
-# interner and an incidence that extends per record batch, both feeding
-# the exact merge kernels so results stay bit-identical to a rebuild.
+# -- the record incidence ----------------------------------------------------
 
 
 class CodeTable:
@@ -821,18 +613,16 @@ class CodeTable:
 
 
 class IncrementalIncidence:
-    """Append-only record incidence: grows per batch, never rebuilds.
+    """Append-only record × vocabulary incidence for pair intersections.
 
-    The serving-path counterpart of :class:`RecordIncidence`: raw code
-    rows append through a :class:`CodeTable` (deduplicated, sorted) into
-    CSR arrays with amortized-doubling growth, and intersections always
-    run the exact binary-search merge — the one backend whose buffers
-    extend in place (bitset words and CSR shapes would change with the
-    vocabulary). All backends are exact int64, so measure values are
-    bit-identical to a :class:`RecordIncidence` over the same rows.
-
-    Duck-type compatible with :func:`set_similarity_matrix_indexed`
-    (``intersections`` + ``row_sizes``).
+    The one incidence structure of every feature view, offline sweeps and
+    serving alike. Raw code rows (q-gram codes or interner ids) append
+    through a :class:`CodeTable` into CSR arrays with amortized-doubling
+    growth, so a view that gains records extends in place and is never
+    rebuilt. A batch of pairs is then just two row-index arrays:
+    :func:`gather_csr` selects both sides and the exact
+    :func:`batch_intersection_counts` merge counts them, in int64, so
+    measure values are bit-identical to the scalar set functions.
     """
 
     __slots__ = ("_table", "_indptr", "_ids", "_n_rows", "appends")
@@ -872,17 +662,49 @@ class IncrementalIncidence:
             self._ids = grown
 
     def append_rows(self, raw_rows: Sequence[np.ndarray]) -> None:
-        """Append one batch of raw code rows (duplicates allowed, any order)."""
-        rows = [
-            np.unique(self._table.intern(np.unique(raw))) for raw in raw_rows
-        ]
-        self._reserve(len(rows), int(sum(len(row) for row in rows)))
-        for row in rows:
-            fill = int(self._indptr[self._n_rows])
-            self._ids[fill : fill + len(row)] = row
-            self._n_rows += 1
-            self._indptr[self._n_rows] = fill + len(row)
-            self.appends += 1
+        """Append one batch of raw code rows (duplicates allowed, any order).
+
+        The whole batch is mapped at once: one argsort of the
+        concatenated codes yields the batch's distinct codes and each
+        code's rank among them, one :meth:`CodeTable.intern` call gives
+        the distinct codes their dense ids, and one sort of
+        ``row * vocab + id`` keys dedups and orders every row.
+        """
+        n_new = len(raw_rows)
+        if n_new == 0:
+            return
+        lengths = np.fromiter(
+            (len(row) for row in raw_rows), dtype=np.int64, count=n_new
+        )
+        counts = np.zeros(n_new, dtype=np.int64)
+        ids = _EMPTY_ROW
+        if lengths.any():
+            codes = np.concatenate(raw_rows).astype(np.int64, copy=False)
+            # Ranks come from the argsort itself: a searchsorted of the
+            # unsorted codes would be a cache-hostile binary search each.
+            order = np.argsort(codes)
+            ordered = codes[order]
+            first = np.empty(len(ordered), dtype=bool)
+            first[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            rank = np.empty(len(codes), dtype=np.int64)
+            rank[order] = np.cumsum(first) - 1
+            dense = self._table.intern(ordered[first])[rank]
+            vocab = len(self._table)
+            row_of = np.repeat(np.arange(n_new, dtype=np.int64), lengths)
+            keys = _sorted_unique(row_of * vocab + dense)
+            key_rows = keys // vocab
+            ids = keys - key_rows * vocab
+            counts = np.bincount(key_rows, minlength=n_new)
+        self._reserve(n_new, len(ids))
+        fill = int(self._indptr[self._n_rows])
+        self._ids[fill : fill + len(ids)] = ids
+        np.cumsum(
+            counts, out=self._indptr[self._n_rows + 1 : self._n_rows + 1 + n_new]
+        )
+        self._indptr[self._n_rows + 1 : self._n_rows + 1 + n_new] += fill
+        self._n_rows += n_new
+        self.appends += n_new
 
     def intersections(
         self, left_index: np.ndarray, right_index: np.ndarray

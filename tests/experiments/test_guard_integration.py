@@ -60,7 +60,7 @@ class TestBudgetDegradation:
         assert guarded.guard.degradation_level == 2
         assert guarded.guard.degradations == (
             "shrink-kernel-batch",
-            "force-merge-backend",
+            "disable-feature-cache",
         )
 
 

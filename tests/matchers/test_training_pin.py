@@ -10,12 +10,14 @@ same weights on a fixed matrix; and ``DeepBlocker`` must return the same
 similarities and candidates. A speed-up of the training code has to keep
 every one of them.
 
-The heads train in a child interpreter with ``PYTHONHASHSEED=0``: the
-lexical evidence of DITTO, EMTransformer and GNEM sums floats over a set
-of tokens, so their last bits follow the string-hash seed.
+The heads train in two child interpreters with different
+``PYTHONHASHSEED`` values, and both must match the pins: the lexical
+evidence of DITTO, EMTransformer and GNEM sums floats over sets of
+tokens, whose iteration order follows the string-hash seed, so a sum
+that depended on that order would show here.
 
-``PYTHONHASHSEED=0 PYTHONPATH=src python tests/matchers/test_training_pin.py``
-prints the head digests of the checkout.
+``PYTHONPATH=src python tests/matchers/test_training_pin.py`` prints the
+head digests of the checkout.
 """
 
 from __future__ import annotations
@@ -53,16 +55,16 @@ def _json_sha(value) -> str:
 #: predictions, test scores), each a sha256 prefix.
 _HEAD_DIGESTS = {
     "DITTO (15)": (
-        "001b9b89fe791d0b",
+        "a2560d6b576302a0",
         "0c55a6444a27e712",
         "63596f23d174120f",
-        "7f8ae22e78191220",
+        "718ee7ed313e41fe",
     ),
     "DITTO (40)": (
-        "001b9b89fe791d0b",
+        "a2560d6b576302a0",
         "4a41a7537751daa4",
         "63596f23d174120f",
-        "7f8ae22e78191220",
+        "718ee7ed313e41fe",
     ),
     "DeepMatcher (15)": (
         "ee5d8b52e3aef93f",
@@ -77,40 +79,40 @@ _HEAD_DIGESTS = {
         "b9356672bf6b98d3",
     ),
     "EMTransformer-B (15)": (
-        "e8d419155d1e132d",
+        "ae5a1374b3b9c523",
         "34a2f5a2ec94ed3f",
         "63596f23d174120f",
-        "f4583a8d9c7072d6",
+        "bb383089b688ac34",
     ),
     "EMTransformer-B (40)": (
-        "e8d419155d1e132d",
+        "ae5a1374b3b9c523",
         "982c1424107495eb",
         "63596f23d174120f",
-        "f4583a8d9c7072d6",
+        "bb383089b688ac34",
     ),
     "EMTransformer-R (15)": (
-        "d1f3ef01a7e0906e",
+        "38ac12268e1cb905",
         "7ddb5b83a31b44b7",
         "63596f23d174120f",
-        "8ddbbb3e0d828672",
+        "7fb2cc05309eddce",
     ),
     "EMTransformer-R (40)": (
-        "d1f3ef01a7e0906e",
+        "38ac12268e1cb905",
         "b959760a8746b9e6",
         "63596f23d174120f",
-        "8ddbbb3e0d828672",
+        "7fb2cc05309eddce",
     ),
     "GNEM (10)": (
-        "52c955cc3baa0ad5",
+        "e188c604bfed584d",
         "484de9c35a518ba7",
         "63596f23d174120f",
-        "74f11ac519be8740",
+        "625fc08c9d05fbf8",
     ),
     "GNEM (40)": (
-        "52c955cc3baa0ad5",
+        "e188c604bfed584d",
         "a090586d94083908",
         "63596f23d174120f",
-        "74f11ac519be8740",
+        "625fc08c9d05fbf8",
     ),
     "HierMatcher (10)": (
         "9bea2d2db204907e",
@@ -149,32 +151,45 @@ def _train_heads() -> dict[str, list[str]]:
     return digests
 
 
+#: String-hash seeds of the two training children.
+_HASH_SEEDS = ("1", "2")
+
+
 @pytest.fixture(scope="module")
-def trained_heads() -> dict[str, tuple[str, ...]]:
-    env = dict(
-        os.environ,
-        PYTHONHASHSEED="0",
-        PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
-    )
-    child = subprocess.run(
-        [sys.executable, __file__],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert child.returncode == 0, child.stderr
-    heads = json.loads(child.stdout.splitlines()[-1])
-    return {name: tuple(digests) for name, digests in heads.items()}
+def trained_heads() -> dict[str, dict[str, tuple[str, ...]]]:
+    """Head digests per hash seed, from one child interpreter each."""
+    children = {
+        seed: subprocess.Popen(
+            [sys.executable, __file__],
+            env=dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            ),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in _HASH_SEEDS
+    }
+    heads = {}
+    for seed, child in children.items():
+        stdout, stderr = child.communicate(timeout=300)
+        assert child.returncode == 0, stderr
+        digests = json.loads(stdout.splitlines()[-1])
+        heads[seed] = {name: tuple(d) for name, d in digests.items()}
+    return heads
 
 
 def test_every_deep_head_is_pinned(trained_heads):
-    assert sorted(trained_heads) == sorted(_HEAD_DIGESTS)
+    for heads in trained_heads.values():
+        assert sorted(heads) == sorted(_HEAD_DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(_HEAD_DIGESTS))
 def test_deep_head(trained_heads, name):
-    assert trained_heads[name] == _HEAD_DIGESTS[name]
+    for seed, heads in trained_heads.items():
+        assert heads[name] == _HEAD_DIGESTS[name], f"PYTHONHASHSEED={seed}"
 
 
 def test_mlp_final_parameters():

@@ -2,9 +2,9 @@
 
 The cheap parts (plan generation, diffing) run everywhere.
 The in-process campaign smoke is marked ``fault_smoke``; the full
-acceptance campaign (20 plans including kill-resume child processes)
-is marked ``chaos`` and excluded from the default test run — invoke it
-with ``pytest -m chaos``.
+20-plan acceptance campaign is marked ``chaos`` and excluded from the
+default test run — invoke it with ``pytest -m chaos``. Process kills are
+covered by ``test_crash_consistency.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.runtime.chaos import (
     FaultPlan,
     PlannedFault,
     count_unexplained_degradations,
-    default_kill_sites,
     default_site_pool,
     diff_sweep_states,
     generate_plans,
@@ -59,25 +58,6 @@ class TestGeneratePlans:
             assert 1 <= len(plan.faults) <= 3
             sites = [planned.site for planned in plan.faults]
             assert len(sites) == len(set(sites))  # distinct sites per plan
-            assert plan.kill_site is None
-
-    def test_kill_plans_come_last(self):
-        kill_sites = default_kill_sites(("Ds5",))
-        plans = generate_plans(
-            6, 0, self.POOL, kill_sites=kill_sites, n_kill_plans=2
-        )
-        assert [plan.kill_site is not None for plan in plans] == [
-            False, False, False, False, True, True,
-        ]
-        for plan in plans[-2:]:
-            assert plan.kill_site in kill_sites
-            assert plan.faults == ()
-
-    def test_kill_plan_validation(self):
-        with pytest.raises(ValueError, match="exceed"):
-            generate_plans(1, 0, self.POOL, n_kill_plans=2)
-        with pytest.raises(ValueError, match="kill_sites"):
-            generate_plans(2, 0, self.POOL, n_kill_plans=1)
 
     def test_describe_is_replayable_text(self):
         plan = FaultPlan(
@@ -180,7 +160,6 @@ class TestCampaignSmoke:
             scale=0.3,
             seed=0,
             n_plans=2,
-            n_kill_plans=0,
             workdir=tmp_path / "campaign",
         )
         report = campaign.run()
@@ -198,7 +177,6 @@ class TestCampaignSmoke:
             scale=0.3,
             seed=0,
             n_plans=1,
-            n_kill_plans=0,
             workdir=tmp_path / "campaign",
         )
         plan = FaultPlan(
@@ -214,16 +192,13 @@ class TestCampaignSmoke:
 
 @pytest.mark.chaos
 class TestAcceptanceCampaign:
-    """The issue's acceptance criterion: >= 20 seeded plans, kill-resume
-    included, zero verdict divergences. Minutes of wall-clock — run with
-    ``pytest -m chaos``."""
+    """A 20-plan seeded campaign with zero verdict divergences. Minutes
+    of wall-clock — run with ``pytest -m chaos``."""
 
-    def test_twenty_plan_campaign_with_kill_resume(self):
-        campaign = ChaosCampaign()  # defaults: 20 plans, 2 kill-resume
+    def test_twenty_plan_campaign(self):
+        campaign = ChaosCampaign()  # defaults: 20 plans
         report = campaign.run()
         assert len(report.results) == 20
-        kill_results = [r for r in report.results if r.plan.kill_site]
-        assert len(kill_results) == 2
         assert report.ok, "\n".join(
             f"{result.plan.describe()}: {result.divergences}"
             for result in report.divergent

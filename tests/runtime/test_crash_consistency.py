@@ -4,10 +4,12 @@ Each case runs one :class:`~repro.runtime.state.StateDir` user — the
 offline runner, the serve loop or the sharded scale sweep — as a child
 ``python -m repro`` armed with ``--inject SITE=kill`` at a step every
 commit passes: ``cache:write`` (an envelope) or ``journal:append``. The
-child dies by SIGKILL at its first pass of the site, ``repro doctor``
-must flag what it left behind and repair it, and the same command
-resumed over the directory must reach exactly the state an
-uninterrupted control reaches.
+runner is also killed inside its work: at its first matcher
+(``matcher:*``) and as its Ds5 sweep starts (``sweep:Ds5``). The child
+dies by SIGKILL at its first pass of the site, ``repro doctor`` must
+flag what it left behind and repair it, and the same command resumed
+over the directory must reach exactly the state an uninterrupted
+control reaches.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from repro.serve import MatcherSession
 pytestmark = pytest.mark.fault_smoke
 
 SITES = ("cache:write", "journal:append")
+#: Kill points inside the runner's work, beyond the commit steps.
+RUNNER_SITES = ("matcher:*", "sweep:Ds5")
 SERVE_SOURCES = load_source_pair("dblp_scholar", 0.15)
 
 
@@ -99,8 +103,12 @@ def controls(tmp_path_factory):
     return states
 
 
-@pytest.mark.parametrize("site", SITES)
-@pytest.mark.parametrize("name", USERS)
+CASES = [(name, site) for site in SITES for name in USERS] + [
+    ("runner", site) for site in RUNNER_SITES
+]
+
+
+@pytest.mark.parametrize(("name", "site"), CASES)
 def test_kill_doctor_resume_matches_control(
     name, site, controls, tmp_path, monkeypatch, capsys
 ):

@@ -120,19 +120,17 @@ class TestResourceGuard:
             clock=clock,
         )
         # One ladder step per pressured checkpoint, cheapest first.
-        for expected_level in (1, 2, 3):
+        for expected_level in (1, 2):
             clock.advance(2.0)
             monitored.checkpoint("u")
             assert monitored.degradation_level == expected_level
         assert kernels.batch_limit() == 256
-        assert kernels.backend_preference() == "merge"
         assert feature_store.cache_disabled()
         clock.advance(2.0)
         with pytest.raises(BudgetExceeded, match="memory budget"):
             monitored.checkpoint("u")
         assert monitored.degradations == (
             "shrink-kernel-batch",
-            "force-merge-backend",
             "disable-feature-cache",
         )
 
@@ -182,7 +180,7 @@ class TestResourceGuard:
         clock.advance(2.0)
         monitored.checkpoint("u")
         assert feature_store.cache_disabled()
-        assert monitored.degradation_level == 3
+        assert monitored.degradation_level == 2
         clock.advance(2.0)
         with pytest.raises(BudgetExceeded, match="disk budget"):
             monitored.checkpoint("u")
@@ -213,11 +211,9 @@ class TestResourceGuard:
         from repro.text import feature_store, kernels
 
         kernels.set_batch_limit(64)
-        kernels.set_backend_preference("merge")
         feature_store.set_cache_disabled(True)
         guard.reset_global_degradations()
         assert kernels.batch_limit() is None
-        assert kernels.backend_preference() == "auto"
         assert not feature_store.cache_disabled()
 
 

@@ -58,7 +58,6 @@ class TestFrontendPlans:
         first = generate_frontend_plans(6, seed=3)
         second = generate_frontend_plans(6, seed=3)
         assert first == second
-        assert all(plan.kill_site is None for plan in first)
         pool_sites = {planned.site for planned in frontend_site_pool()}
         assert {
             planned.site for plan in first for planned in plan.faults

@@ -14,6 +14,7 @@ from repro.datasets.generator import build_task_from_sources
 from repro.experiments.matcher_suite import build_matcher
 from repro.obs import Observability
 from repro.serve import MatcherSession, QueryResult, SessionConfig, open_session
+from repro.text.feature_store import store_for_task
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +122,16 @@ class TestIncrementalAdd:
         with obs_package.use(Observability()) as o:
             local = open_session(serve_task, k=5)
             builds_after_open = o.metrics.counter("blocking.ann.index_builds")
-            rebuilds_after_open = o.metrics.counter(
-                "features.incidence_rebuilds"
+            appends_after_open = o.metrics.counter(
+                "features.incidence_appends"
             )
+            incidences = {
+                view: incidence
+                for view, (__, incidence) in store_for_task(
+                    serve_task
+                )._incidences.items()
+            }
+            assert incidences  # the fit built the matcher's views
             donors = serve_task.right.records()[:6]
             probes = serve_task.left.records()[:5]
             # Interleave adds and queries; the index and incidence
@@ -140,9 +148,13 @@ class TestIncrementalAdd:
                 o.metrics.counter("blocking.ann.index_builds")
                 == builds_after_open
             )
+            # Every view kept its incidence object and grew it in place.
+            grown = store_for_task(serve_task)._incidences
+            for view, incidence in incidences.items():
+                assert grown[view][1] is incidence, view
             assert (
-                o.metrics.counter("features.incidence_rebuilds")
-                == rebuilds_after_open
+                o.metrics.counter("features.incidence_appends")
+                > appends_after_open
             )
             assert o.metrics.counter("serve.records_added") == 6.0
             assert len(local) == len(serve_task.right) + 6

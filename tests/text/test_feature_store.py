@@ -77,12 +77,16 @@ class TestViews:
         store = FeatureStore()
         view = ("qgrams", None, 3)
         store.rows([make_record("l0", "left", name="alpha")], view)
-        __, first = store._incidence(view)
+        positions, first = store._incidence(view)
         __, again = store._incidence(view)
-        assert first is again
+        assert first is again and first.n_rows == 1
         store.rows([make_record("l1", "left", name="omega")], view)
-        __, rebuilt = store._incidence(view)
-        assert rebuilt is not first
+        # New records append to the same structure; nothing is rebuilt
+        # and the rows handed out before keep their positions.
+        grown_positions, grown = store._incidence(view)
+        assert grown is first and grown.n_rows == 2
+        assert grown_positions[("left", "l0")] == 0
+        assert grown_positions[("left", "l1")] == 1
 
     def test_codec_overflow_falls_back_consistently(self):
         # q=10 codecs budget 6 bits/char (capacity 63): a wide-alphabet

@@ -4,22 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.data.pairs import RecordPair
 from repro.obs import Observability
+from repro.text.feature_store import FeatureStore
 from repro.text.kernels import (
-    BITSET_MAX_VOCAB,
     CharTable,
+    IncrementalIncidence,
     PackedRows,
     QGramAlphabetOverflow,
     QGramCodec,
-    RecordIncidence,
     TokenInterner,
     batch_intersection_counts,
-    densify_csr,
     gather_csr,
-    pack_rows,
-    set_similarity_matrix,
     set_similarity_matrix_indexed,
 )
 from repro.text.similarity import (
@@ -29,12 +29,37 @@ from repro.text.similarity import (
     overlap_coefficient,
 )
 from repro.text.tokenize import qgrams
+from tests.conftest import make_record
 
 
 def _random_sets(rng, n, vocab, max_size=12):
     return [
         set(rng.choice(vocab, size=int(rng.integers(0, max_size)), replace=False).tolist())
         for __ in range(n)
+    ]
+
+
+def _pack(rows):
+    """Sorted id rows stacked into one :class:`PackedRows`."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    ids = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    return PackedRows(indptr=indptr, ids=ids.astype(np.int64))
+
+
+def _incidence(rows):
+    """An :class:`IncrementalIncidence` over *rows*, appended as one batch."""
+    incidence = IncrementalIncidence()
+    incidence.append_rows([np.asarray(row, dtype=np.int64) for row in rows])
+    return incidence
+
+
+def _stored_rows(incidence):
+    """Each row of *incidence* as a list of dense ids."""
+    indptr = incidence._indptr[: incidence.n_rows + 1]
+    return [
+        incidence._ids[indptr[row] : indptr[row + 1]].tolist()
+        for row in range(incidence.n_rows)
     ]
 
 
@@ -58,28 +83,11 @@ class TestTokenInterner:
 
 
 class TestPackedRows:
-    def test_pack_rows_round_trip(self):
-        rows = [
-            np.array([1, 4], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([0, 2, 5], dtype=np.int64),
-        ]
-        packed = pack_rows(rows)
-        assert packed.n_rows == 3
-        assert list(packed.sizes()) == [2, 0, 3]
-        for index, row in enumerate(rows):
-            assert np.array_equal(packed.row(index), row)
-
     def test_pair_keys_fold(self):
-        packed = pack_rows(
+        packed = _pack(
             [np.array([1, 2], dtype=np.int64), np.array([0], dtype=np.int64)]
         )
         assert list(packed.pair_keys(10)) == [1, 2, 10]
-
-    def test_empty(self):
-        packed = pack_rows([])
-        assert packed.n_rows == 0
-        assert len(packed.ids) == 0
 
 
 class TestCharTable:
@@ -170,29 +178,35 @@ class TestQGramCodec:
         assert QGramCodec(2, CharTable()).encode([]) == []
 
 
-class TestDensifyCsr:
+class TestAppendRows:
     def test_dedups_and_sorts_rows(self):
-        rows = [
-            np.array([900, 100, 900, 500], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([500, 500], dtype=np.int64),
-        ]
-        indptr, ids, vocab = densify_csr(rows)
-        assert vocab == 3  # {100, 500, 900}
-        assert list(indptr) == [0, 3, 3, 4]
-        assert list(ids[0:3]) == [0, 1, 2]
-        assert list(ids[3:4]) == [1]
+        incidence = _incidence(
+            [[900, 100, 900, 500], [], [500, 500]]
+        )
+        assert incidence.vocab_size == 3  # {100, 500, 900}
+        assert list(incidence._indptr[:4]) == [0, 3, 3, 4]
+        assert _stored_rows(incidence) == [[0, 1, 2], [], [1]]
 
     def test_rank_order_matches_code_order(self):
-        rows = [np.array([7, -5, 1_000_000_000_000], dtype=np.int64)]
-        __, ids, __ = densify_csr(rows)
-        assert list(ids) == [0, 1, 2][: len(ids)]
+        # Within one batch, new codes get dense ids in code order.
+        incidence = _incidence([[7, -5, 1_000_000_000_000]])
+        assert _stored_rows(incidence) == [[0, 1, 2]]
+
+    def test_ids_survive_later_batches(self):
+        incidence = _incidence([[40, 10]])
+        incidence.append_rows([np.array([5, 40, 99], dtype=np.int64)])
+        # 10 and 40 keep ids 0 and 1; the batch's new codes 5 and 99
+        # follow in code order.
+        assert _stored_rows(incidence) == [[0, 1], [1, 2, 3]]
+        assert incidence.appends == 2
 
     def test_empty_inputs(self):
-        indptr, ids, vocab = densify_csr([])
-        assert list(indptr) == [0] and len(ids) == 0 and vocab == 0
-        indptr, ids, vocab = densify_csr([np.empty(0, dtype=np.int64)])
-        assert list(indptr) == [0, 0] and len(ids) == 0 and vocab == 0
+        incidence = IncrementalIncidence()
+        incidence.append_rows([])
+        assert incidence.n_rows == 0 and incidence.vocab_size == 0
+        incidence.append_rows([np.empty(0, dtype=np.int64)])
+        assert incidence.n_rows == 1 and incidence.vocab_size == 0
+        assert list(incidence.row_sizes) == [0]
 
 
 class TestGatherCsr:
@@ -202,14 +216,14 @@ class TestGatherCsr:
             np.sort(rng.choice(50, size=int(rng.integers(0, 8)), replace=False)).astype(np.int64)
             for __ in range(20)
         ]
-        packed = pack_rows(rows)
+        packed = _pack(rows)
         pick = rng.integers(0, 20, size=37)
         gathered = gather_csr(packed.indptr, packed.ids, pick)
         for out_row, source in enumerate(pick):
             assert np.array_equal(gathered.row(out_row), rows[source])
 
     def test_empty_selection(self):
-        packed = pack_rows([np.array([1], dtype=np.int64)])
+        packed = _pack([np.array([1], dtype=np.int64)])
         gathered = gather_csr(packed.indptr, packed.ids, np.empty(0, dtype=np.int64))
         assert gathered.n_rows == 0
 
@@ -220,31 +234,32 @@ class TestBatchIntersections:
         vocab = 40
         lefts = _random_sets(rng, 60, vocab)
         rights = _random_sets(rng, 60, vocab)
-        left = pack_rows([np.array(sorted(s), dtype=np.int64) for s in lefts])
-        right = pack_rows([np.array(sorted(s), dtype=np.int64) for s in rights])
+        left = _pack([np.array(sorted(s), dtype=np.int64) for s in lefts])
+        right = _pack([np.array(sorted(s), dtype=np.int64) for s in rights])
         counts = batch_intersection_counts(left, right, vocab)
         expected = [len(a & b) for a, b in zip(lefts, rights)]
         assert list(counts) == expected
 
     def test_row_mismatch_raises(self):
-        one = pack_rows([np.array([0], dtype=np.int64)])
-        two = pack_rows([np.array([0], dtype=np.int64)] * 2)
+        one = _pack([np.array([0], dtype=np.int64)])
+        two = _pack([np.array([0], dtype=np.int64)] * 2)
         with pytest.raises(ValueError):
             batch_intersection_counts(one, two, 5)
 
     def test_empty_sides(self):
-        left = pack_rows([np.empty(0, dtype=np.int64)] * 3)
-        right = pack_rows([np.array([1], dtype=np.int64)] * 3)
+        left = _pack([np.empty(0, dtype=np.int64)] * 3)
+        right = _pack([np.array([1], dtype=np.int64)] * 3)
         assert list(batch_intersection_counts(left, right, 5)) == [0, 0, 0]
 
 
 class TestRecordIncidence:
-    @pytest.mark.parametrize("vocab", [64, BITSET_MAX_VOCAB + 1])
-    def test_backends_match_python_sets(self, vocab):
+    """The one record incidence, :class:`IncrementalIncidence`."""
+
+    @pytest.mark.parametrize("vocab", [64, 4097])
+    def test_matches_python_sets(self, vocab):
         rng = np.random.default_rng(3)
         sets = _random_sets(rng, 30, vocab)
-        packed = pack_rows([np.array(sorted(s), dtype=np.int64) for s in sets])
-        incidence = RecordIncidence(packed.indptr, packed.ids, vocab)
+        incidence = _incidence([sorted(s) for s in sets])
         left_index = rng.integers(0, 30, size=100)
         right_index = rng.integers(0, 30, size=100)
         counts = incidence.intersections(left_index, right_index)
@@ -253,36 +268,81 @@ class TestRecordIncidence:
         ]
         assert list(counts) == expected
 
-    def test_fallback_without_scipy(self, monkeypatch):
-        import repro.text.kernels as kernels
-
-        monkeypatch.setattr(kernels, "_sparse", None)
-        vocab = BITSET_MAX_VOCAB + 1
-        rows = [
-            np.array([0, vocab - 1], dtype=np.int64),
-            np.array([vocab - 1], dtype=np.int64),
-        ]
-        packed = pack_rows(rows)
-        incidence = RecordIncidence(packed.indptr, packed.ids, vocab)
-        assert incidence._matrix is None and incidence._bits is None
-        counts = incidence.intersections(
-            np.array([0, 0]), np.array([1, 0])
-        )
-        assert list(counts) == [1, 2]
-
-    def test_bitset_words_with_shared_cells(self):
-        # Multiple ids landing in the same uint64 word must all survive
-        # the bitset build (a plain fancy-index |= would drop some).
-        rows = [np.array([0, 1, 2, 63, 64], dtype=np.int64)]
-        packed = pack_rows(rows)
-        incidence = RecordIncidence(packed.indptr, packed.ids, 128)
-        assert incidence._bits is not None
-        assert list(incidence.intersections(np.array([0]), np.array([0]))) == [5]
-
     def test_empty_incidence(self):
-        packed = pack_rows([np.empty(0, dtype=np.int64)])
-        incidence = RecordIncidence(packed.indptr, packed.ids, 0)
+        incidence = _incidence([[]])
         assert list(incidence.intersections(np.array([0]), np.array([0]))) == [0]
+
+
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+#: Raw code rows: empty rows, duplicate codes (few distinct values per
+#: row) and codes across the full int64 range.
+_RAW_ROWS = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1, 7]), max_size=6),
+        st.lists(_INT64, max_size=6),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestAppendProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_RAW_ROWS, cuts=st.lists(st.integers(0, 12), max_size=4))
+    def test_any_batch_split_gives_python_set_intersections(self, rows, cuts):
+        incidence = IncrementalIncidence()
+        bounds = sorted({0, len(rows), *(min(cut, len(rows)) for cut in cuts)})
+        for begin, end in zip(bounds, bounds[1:]):
+            incidence.append_rows(
+                [np.array(row, dtype=np.int64) for row in rows[begin:end]]
+            )
+        n = len(rows)
+        assert incidence.n_rows == n
+        left, right = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        sets = [set(row) for row in rows]
+        assert incidence.intersections(left, right).tolist() == [
+            len(sets[a] & sets[b]) for a, b in zip(left.tolist(), right.tolist())
+        ]
+        assert incidence.row_sizes.tolist() == [len(s) for s in sets]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        texts=st.lists(
+            st.one_of(
+                st.text(alphabet="abcde ", max_size=14),
+                # 80 ideographs outgrow q=10's 63-character budget.
+                st.just("".join(chr(0x4E00 + i) for i in range(80))),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        cuts=st.lists(st.integers(0, 8), max_size=3),
+    )
+    def test_store_batches_and_codec_overflow(self, texts, cuts):
+        # Records reach the store in batches; a wide-alphabet record
+        # overflows the q=10 codec and re-interns the view, whose
+        # incidence must then still give exact intersections.
+        view = ("qgrams", None, 10)
+        records = [
+            make_record(f"r{i}", "left", name=text) for i, text in enumerate(texts)
+        ]
+        store = FeatureStore()
+        bounds = sorted({0, len(records), *(min(c, len(records)) for c in cuts)})
+        for end in bounds[1:]:
+            seen = records[:end]
+            store.set_similarities(
+                [RecordPair(a, b) for a in seen for b in seen], view
+            )
+        positions, incidence = store._incidence(view)
+        sets = [FeatureStore._extract(record, view) for record in records]
+        rows = np.array(
+            [positions[(r.source, r.record_id)] for r in records], dtype=np.int64
+        )
+        n = len(records)
+        left, right = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        assert incidence.intersections(rows[left], rows[right]).tolist() == [
+            len(sets[a] & sets[b]) for a, b in zip(left.tolist(), right.tolist())
+        ]
 
 
 class TestMeasureKernels:
@@ -298,11 +358,10 @@ class TestMeasureKernels:
             jaccard_similarity,
             overlap_coefficient,
         )
-        matrix = set_similarity_matrix(
-            [np.array(sorted(s), dtype=np.int64) for s in lefts],
-            [np.array(sorted(s), dtype=np.int64) for s in rights],
-            vocab,
-            measures,
+        incidence = _incidence([sorted(s) for s in lefts + rights])
+        n = len(lefts)
+        matrix = set_similarity_matrix_indexed(
+            incidence, np.arange(n), np.arange(n, 2 * n), measures
         )
         for row, (a, b) in enumerate(zip(lefts, rights)):
             for column, fn in enumerate(scalar_fns):
@@ -310,13 +369,15 @@ class TestMeasureKernels:
 
     def test_unknown_measure_raises(self):
         with pytest.raises(KeyError):
-            set_similarity_matrix([], [], 1, measures=("euclidean",))
+            set_similarity_matrix_indexed(
+                IncrementalIncidence(),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                measures=("euclidean",),
+            )
 
     def test_indexed_entry_emits_kernel_metrics(self):
-        packed = pack_rows(
-            [np.array([0, 1], dtype=np.int64), np.array([1], dtype=np.int64)]
-        )
-        incidence = RecordIncidence(packed.indptr, packed.ids, 2)
+        incidence = _incidence([[0, 1], [1]])
         with obs.use(Observability()):
             matrix = set_similarity_matrix_indexed(
                 incidence, np.array([0]), np.array([1])
