@@ -10,7 +10,7 @@ the rename survives a power cut): an interrupted export never leaves a
 half-written table or pair list behind. A full volume surfaces as the
 typed :class:`repro.runtime.DiskFull` (ENOSPC/EDQUOT, partial temp file
 already cleaned up) rather than a bare ``OSError``. Readers pass the
-``io:read`` fault site, so chaos campaigns can rehearse unreadable
+``io:read`` fault site, so fault-injection tests can rehearse unreadable
 exports too.
 """
 

@@ -10,7 +10,6 @@ Usage (after ``pip install -e .``)::
     python -m repro scale-up --records 100000 --shard-size 10000
                                           # streaming sharded scale sweep
     python -m repro doctor --check        # audit cache/journal state
-    python -m repro chaos --plans 5       # seeded chaos campaign
     python -m repro list                  # list datasets and experiments
 
 Heavy sweeps honour ``--cache DIR`` (default ``.benchcache``), sharing the
@@ -25,9 +24,7 @@ Every unit runs in this process, one after another.
 Self-healing state: ``repro doctor`` audits and repairs a cache
 directory (torn journal tails, corrupt envelopes, quarantine retention,
 stale temp files; ``--check`` reports without repairing and exits 1 on
-findings). ``repro chaos`` runs a seeded campaign of randomized fault
-plans against real sweeps and asserts the surviving verdicts equal a
-fault-free baseline (see :mod:`repro.runtime.chaos`).
+findings).
 ``--breaker-threshold K`` arms circuit breakers: a unit failing K
 consecutive times short-circuits instead of burning retries.
 
@@ -125,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         help="table3..table7, fig1..fig6, blocking, audit, snapshot, serve, "
-        "scale-up, trace, doctor, chaos, or list",
+        "scale-up, trace, doctor, or list",
     )
     parser.add_argument(
         "dataset",
@@ -169,7 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="SITE=KIND[:TIMES]",
         help="arm a deterministic fault, e.g. 'matcher:DITTO (15)=error' "
-        "or 'cache:read=corrupt' (repeatable; KIND: error|hang|corrupt)",
+        "or 'cache:read=corrupt' (repeatable; "
+        "KIND: error|hang|corrupt|torn|kill)",
     )
     parser.add_argument(
         "--out",
@@ -199,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--datasets",
         default=None,
         metavar="IDS",
-        help="comma-separated dataset ids restricting table4/verdicts/chaos "
+        help="comma-separated dataset ids restricting table4/verdicts "
         "(e.g. --datasets Ds5,Ds7)",
     )
     parser.add_argument(
@@ -222,13 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DAYS",
         help="for 'doctor': delete quarantined entries older than this "
         "(default 7)",
-    )
-    parser.add_argument(
-        "--plans",
-        type=_positive_int,
-        default=20,
-        metavar="N",
-        help="for 'chaos': number of seeded fault plans (default 20)",
     )
     parser.add_argument(
         "--memory-budget",
@@ -466,44 +457,6 @@ def _doctor_command(cache_dir: Path | None, args) -> int:
     return 1 if (args.check and not report.clean) else 0
 
 
-def _chaos_command(
-    dataset_ids: tuple[str, ...] | None, cache_dir: Path | None, args
-) -> int:
-    """``python -m repro chaos [--plans N] [--datasets IDS] ...``."""
-    from repro.runtime.chaos import DEFAULT_DATASETS, ChaosCampaign
-
-    options = {}
-    if args.breaker_threshold is not None:
-        options["breaker_threshold"] = args.breaker_threshold
-    if cache_dir is not None:
-        # An explicit --cache pins the campaign's scratch space and keeps
-        # it around afterwards — ``repro doctor`` can then audit what the
-        # faults left behind (scripts/verify.sh does exactly this).
-        options["workdir"] = cache_dir
-    campaign = ChaosCampaign(
-        datasets=dataset_ids if dataset_ids is not None else DEFAULT_DATASETS,
-        scale=args.scale,
-        seed=args.seed,
-        n_plans=args.plans,
-        retries=max(args.retries, 2),
-        **options,
-    )
-    report = campaign.run()
-    print(render(report.to_table(),
-                 title=f"Chaos campaign (seed {report.seed}, "
-                       f"{len(report.results)} plan(s))"))
-    if report.ok:
-        print()
-        print("all surviving verdicts match the fault-free baseline")
-        return 0
-    print()
-    for result in report.divergent:
-        print(f"DIVERGED: {result.plan.describe()}")
-        for text in result.divergences:
-            print(f"  - {text}")
-    return 1
-
-
 def _scale_command(cache_dir: Path | None, args) -> int:
     """``python -m repro scale-up [DATASET] --records N --shard-size S``.
 
@@ -706,9 +659,6 @@ def _run_command(args) -> int:
 
     if args.experiment == "doctor":
         return _doctor_command(cache_dir, args)
-
-    if args.experiment == "chaos":
-        return _chaos_command(dataset_ids, cache_dir, args)
 
     if args.experiment == "serve":
         return _serve_command(args)

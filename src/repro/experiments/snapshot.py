@@ -12,12 +12,17 @@ gracefully), and ``save_snapshot`` writes atomically. Because the runner
 journals and disk-caches every per-dataset unit, a snapshot interrupted
 by a kill resumes from completed units when rerun with the same cache
 directory.
+
+``sweep_state`` is the smaller, diffable state of a sweep, and
+``diff_sweep_states`` / ``count_unexplained_degradations`` are the oracle
+that holds a faulted or resumed sweep to a fault-free one.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable
 
 from repro.experiments import figures, tables
 from repro.experiments.paper_comparison import compare_all
@@ -110,8 +115,8 @@ def sweep_state(
 ) -> dict[str, object]:
     """The *diffable* state of a sweep: scores and verdicts, no wall-clock.
 
-    The comparison surface of :mod:`repro.runtime.chaos`'s campaign and
-    crash-consistency checks. Per dataset it records each matcher's
+    The comparison surface of the fault-injection and crash-consistency
+    tests (:func:`diff_sweep_states`). Per dataset it records each matcher's
     scores and degraded flag, the practical measures (NLB/LBM) when
     measured, and the practical verdict — but deliberately no timings,
     pids or trace ids, which legitimately differ between runs. Two runs
@@ -148,3 +153,80 @@ def sweep_state(
             ),
         }
     return state
+
+
+def diff_sweep_states(baseline: dict, observed: dict) -> list[str]:
+    """Divergences of ``observed`` from ``baseline`` (empty = consistent).
+
+    The contract a faulted or resumed sweep must keep:
+
+    * a cell the observed run reports as *non-degraded* must score exactly
+      the baseline's score — a degraded cell silently promoted to a real
+      (zeroed or fabricated) score diverges here;
+    * a degraded or missing cell is *surviving data loss*, not divergence;
+    * when the observed run's practical measures are measured, NLB/LBM
+      and the practical verdict must equal the baseline's.
+    """
+    divergences: list[str] = []
+    for dataset_id, base in baseline["datasets"].items():
+        seen = observed["datasets"].get(dataset_id)
+        if seen is None:
+            divergences.append(f"{dataset_id}: missing from observed state")
+            continue
+        for matcher, base_cell in base["results"].items():
+            cell = seen["results"].get(matcher)
+            if cell is None or cell["degraded"]:
+                continue  # lost or degraded, visibly — not a divergence
+            if base_cell["degraded"]:
+                divergences.append(
+                    f"{dataset_id}/{matcher}: degraded in baseline but "
+                    f"scored {cell['f1']:.6f} under faults"
+                )
+                continue
+            for measure in ("f1", "precision", "recall"):
+                if cell[measure] != base_cell[measure]:
+                    divergences.append(
+                        f"{dataset_id}/{matcher}: {measure} "
+                        f"{cell[measure]:.6f} != baseline "
+                        f"{base_cell[measure]:.6f}"
+                    )
+        if seen["measured"] and base["measured"]:
+            for measure in ("nlb", "lbm"):
+                if seen[measure] != base[measure]:
+                    divergences.append(
+                        f"{dataset_id}: {measure} {seen[measure]:.6f} != "
+                        f"baseline {base[measure]:.6f}"
+                    )
+            if seen["practical_challenging"] != base["practical_challenging"]:
+                divergences.append(
+                    f"{dataset_id}: practical verdict "
+                    f"{seen['practical_challenging']} != baseline "
+                    f"{base['practical_challenging']}"
+                )
+    return divergences
+
+
+def count_unexplained_degradations(state: dict, failures: Iterable) -> int:
+    """Degraded cells with no matching :class:`FailureRecord` (should be 0).
+
+    Every degraded cell must be *explained* — either its own matcher
+    failure record or a sweep/cache-level record for its dataset. A
+    degraded cell with no record at all was silently degraded.
+    """
+    unit_ids = {record.unit_id for record in failures}
+    unexplained = 0
+    for dataset_id, entry in state["datasets"].items():
+        dataset_units = {
+            unit
+            for unit in unit_ids
+            if unit == f"sweep:{dataset_id}" or unit.startswith(f"{dataset_id}/")
+        }
+        for matcher, cell in entry["results"].items():
+            if not cell["degraded"]:
+                continue
+            if (
+                f"{dataset_id}/{matcher}" not in unit_ids
+                and not dataset_units
+            ):
+                unexplained += 1
+    return unexplained

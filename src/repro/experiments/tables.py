@@ -107,7 +107,7 @@ def table4(
     """Table IV: F1 of every matcher on the 13 established benchmarks.
 
     *dataset_ids* restricts the columns (the CLI's ``--datasets`` filter
-    and the chaos/crash checkers' way of sweeping a small subset).
+    and the crash-consistency test's way of sweeping a small subset).
     """
     return _f1_table(
         runner,

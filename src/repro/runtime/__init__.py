@@ -24,9 +24,6 @@ pieces the experiment layer builds on:
   (:class:`BreakerRegistry`) that an :class:`ExecutionPolicy` can carry:
   after K consecutive failures a unit short-circuits to a structured
   ``CircuitOpen`` failure instead of burning its retry budget.
-* :mod:`repro.runtime.chaos` — seeded chaos campaigns
-  (:class:`ChaosCampaign`) asserting verdicts survive randomized
-  multi-site fault plans.
 * :mod:`repro.runtime.state` — :class:`~repro.runtime.state.StateDir`,
   the one durable-state primitive of the runner, ``serve --state`` and
   ``scale-up --state``: a lease, a journal and the envelopes it trusts,
@@ -60,14 +57,6 @@ from repro.runtime.cache import (
     read_cached_payload,
     read_envelope,
     write_envelope,
-)
-from repro.runtime.chaos import (
-    CampaignReport,
-    ChaosCampaign,
-    FaultPlan,
-    PlannedFault,
-    PlanResult,
-    generate_plans,
 )
 from repro.runtime.doctor import (
     DoctorFinding,
@@ -108,8 +97,6 @@ __all__ = [
     "CacheError",
     "CacheReadResult",
     "CacheVersionMismatch",
-    "CampaignReport",
-    "ChaosCampaign",
     "CheckpointJournal",
     "CircuitBreaker",
     "DeadlineExceeded",
@@ -119,18 +106,14 @@ __all__ = [
     "ExecutionOutcome",
     "ExecutionPolicy",
     "FailureRecord",
-    "FaultPlan",
     "LEASE_NAME",
     "LeaseHeld",
-    "PlanResult",
-    "PlannedFault",
     "ResourceGuard",
     "RunLease",
     "atomic_write_text",
     "atomic_writer",
     "audit_lease",
     "clear_recorded_failures",
-    "generate_plans",
     "pid_alive",
     "quarantine",
     "read_cached_payload",

@@ -1,8 +1,8 @@
 """Circuit breakers: stop burning retries on a repeatedly failing unit.
 
-A long campaign re-runs the same (matcher, dataset) units many times; a
+A long sweep re-runs the same (matcher, dataset) units many times; a
 unit that fails deterministically (bad checkpoint, degenerate split,
-armed chaos fault) would otherwise cost its full retry/backoff budget on
+armed injected fault) would otherwise cost its full retry/backoff budget on
 every encounter and poison the sweep's wall clock. A
 :class:`CircuitBreaker` watches consecutive failures per unit id and,
 once ``failure_threshold`` is reached, *opens*: further executions

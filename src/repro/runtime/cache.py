@@ -139,7 +139,7 @@ def write_envelope(
         "checksum": _checksum(_canonical(payload)),
         "payload": payload,
     }
-    # The torn-write site lets chaos campaigns publish a truncated
+    # The torn-write site lets fault-injection tests publish a truncated
     # envelope (simulating a non-atomic filesystem or a crash that beat
     # the rename); readers then exercise the real quarantine path.
     text = faults.torn_text("cache:torn-write", json.dumps(envelope, indent=1))

@@ -287,8 +287,8 @@ def run_doctor(
                     continue
                 layout = by_name.get(path.name)
                 if layout is not None:
-                    # Every state directory in the tree: a chaos campaign
-                    # leaves one per plan directory, not just the root's.
+                    # Every state directory in the tree, not just the
+                    # root's: a parent directory may hold several runs.
                     state_dirs.add((path.parent, layout))
                     if path.name == layout.journal:
                         continue

@@ -11,8 +11,8 @@ Five kinds are supported:
   real checksum/quarantine path,
 * ``"torn"``    — make a writer persist a truncated/garbled prefix of its
   bytes (:func:`torn_text`), simulating a crash mid-write,
-* ``"kill"``    — SIGKILL the current process at the site, the primitive
-  behind :mod:`repro.runtime.chaos`'s crash-consistency checker.
+* ``"kill"``    — SIGKILL the current process at the site, which the
+  crash-consistency test uses to kill each durable-state writer.
 
 Sites are plain strings. The experiment layer uses ``"matcher:<name>"``,
 ``"sweep:<dataset>"``, ``"dataset:<dataset>"``, ``"cache:read"``,
@@ -34,7 +34,7 @@ import os
 import signal
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro import obs
@@ -73,7 +73,6 @@ class _ArmedFault:
     seed: int
     fired: int = 0
     passes: int = 0
-    trigger_log: list[int] = field(default_factory=list)
 
     def should_fire(self) -> bool:
         self.passes += 1
@@ -87,7 +86,6 @@ class _ArmedFault:
             if int.from_bytes(digest, "big") / 2**64 >= self.probability:
                 return False
         self.fired += 1
-        self.trigger_log.append(self.passes)
         return True
 
 

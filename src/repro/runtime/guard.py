@@ -527,7 +527,7 @@ class RunLease:
         """Heartbeat the lease (rate-limited); detect and handle theft.
 
         The chaos site ``lease:steal`` plants a competing (dead-owner)
-        lease here so the reclaim path runs under campaigns. A *live*
+        lease here so the reclaim path runs under fault injection. A *live*
         thief means split-brain — raise :class:`LeaseHeld` rather than
         fight over the file.
         """

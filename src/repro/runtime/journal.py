@@ -102,7 +102,7 @@ class CheckpointJournal:
             self._needs_newline = False
         # The torn-write site garbles the bytes that reach the disk (the
         # in-memory entry stays recorded, exactly like a crash between the
-        # dict update and the fsync) so chaos campaigns and doctor tests
+        # dict update and the fsync) so fault-injection and doctor tests
         # can produce a genuinely torn tail on demand.
         data = faults.torn_text("journal:append", line + "\n")
         with self.path.open("a", encoding="utf-8") as handle:

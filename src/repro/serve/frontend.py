@@ -43,11 +43,12 @@ truncate), broadcasts a final ``drained`` event to connected clients and
 closes the listener. The SIGTERM handler stays installed through the
 final snapshot (see :meth:`ServeLoop.run` for why).
 
-**Chaos.** Fault sites ``frontend:accept``, ``frontend:read``,
-``frontend:write``, ``frontend:disconnect`` and ``frontend:batch``
-extend :mod:`repro.runtime.chaos` campaigns to the socket layer; the
+**Fault sites.** ``frontend:accept``, ``frontend:read``,
+``frontend:write``, ``frontend:disconnect`` and ``frontend:batch`` arm
+:mod:`repro.runtime.faults` at the socket layer (the front-end fault
+property in ``tests/serve/test_frontend_chaos.py`` draws from them); the
 ``kill`` kind at ``frontend:batch`` SIGKILLs mid-coalesced-batch for the
-crash-consistency checker.
+crash-consistency test.
 """
 
 from __future__ import annotations

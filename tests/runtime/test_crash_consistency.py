@@ -5,11 +5,14 @@ offline runner, the serve loop or the sharded scale sweep — as a child
 ``python -m repro`` armed with ``--inject SITE=kill`` at a step every
 commit passes: ``cache:write`` (an envelope) or ``journal:append``. The
 runner is also killed inside its work: at its first matcher
-(``matcher:*``) and as its Ds5 sweep starts (``sweep:Ds5``). The child
-dies by SIGKILL at its first pass of the site, ``repro doctor`` must
-flag what it left behind and repair it, and the same command resumed
-over the directory must reach exactly the state an uninterrupted
-control reaches.
+(``matcher:*``) and as its Ds5 sweep starts (``sweep:Ds5``). Every case
+starts from committed state — the runner's Ds7 sweep, the serve loop's
+first add, the scale sweep's fit and first two shards — so the kill
+lands after a commit the resume must keep. The child dies by SIGKILL at
+its first pass of the site, ``repro doctor`` must flag what it left
+behind and repair it, the committed units must still be journaled, and
+the same command resumed over the directory must reuse them and reach
+exactly the state an uninterrupted control reaches.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -25,11 +29,14 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import obs
 from repro.datasets.registry import load_source_pair
 from repro.experiments.cli import main
 from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.experiments.snapshot import sweep_state
-from repro.runtime.state import SERVE_STATE
+from repro.obs import Observability
+from repro.runtime.journal import CheckpointJournal
+from repro.runtime.state import RUNNER_STATE, SCALE_STATE, SERVE_STATE
 from repro.scale import ScaleConfig, ShardedSweep
 from repro.serve import MatcherSession
 
@@ -41,28 +48,53 @@ RUNNER_SITES = ("matcher:*", "sweep:Ds5")
 SERVE_SOURCES = load_source_pair("dblp_scholar", 0.15)
 
 
+def _jsonl(requests) -> str:
+    return "".join(json.dumps(request) + "\n" for request in requests)
+
+
+def _resume(argv, stdin, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == 0
+
+
 def _runner(state: Path):
     config = RunnerConfig(scale=0.3, seed=0, cache_dir=state)
-    argv = ["table4", "--datasets", "Ds5", "--scale", "0.3", "--cache", str(state)]
-    return argv, "", lambda: sweep_state(ExperimentRunner(config), ("Ds5",))
+    argv = ["table4", "--datasets", "Ds5,Ds7", "--scale", "0.3", "--cache",
+            str(state)]
+    return argv, "", lambda: sweep_state(ExperimentRunner(config), ("Ds5", "Ds7"))
+
+
+def _runner_head_start(state: Path, monkeypatch) -> None:
+    """Sweep Ds7 alone first: its commit comes before any kill."""
+    _resume(["table4", "--datasets", "Ds7", "--scale", "0.3", "--cache",
+             str(state)], "", monkeypatch)
+
+
+SERVE_ADDS = [
+    {"op": "add", "id": f"a{i}", "records": [{
+        "record_id": f"crash_{i}", "source": r.source, "values": dict(r.values),
+    }]}
+    for i, r in enumerate(SERVE_SOURCES.right.records()[:3])
+]
+SHUTDOWN = {"op": "shutdown"}
 
 
 def _serve(state: Path):
     argv = ["serve", "dblp_scholar", "--scale", "0.15", "--k", "3", "--blocker",
             "lsh", "--state", str(state), "--snapshot-every", "1"]
-    requests = [
-        {"op": "add", "id": f"a{i}", "records": [{
-            "record_id": f"crash_{i}", "source": r.source, "values": dict(r.values),
-        }]}
-        for i, r in enumerate(SERVE_SOURCES.right.records()[:3])
-    ] + [{"op": "shutdown"}]
 
     def answers():
         session = MatcherSession.load(state / SERVE_STATE.manifest)
         probes = SERVE_SOURCES.left.records()[:5]
         return len(session), [session.query(p, 3).to_dict() for p in probes]
 
-    return argv, "".join(json.dumps(r) + "\n" for r in requests), answers
+    return argv, _jsonl([*SERVE_ADDS, SHUTDOWN]), answers
+
+
+def _serve_head_start(state: Path, monkeypatch) -> None:
+    """Serve the first add, then shut down: its commit comes before any kill."""
+    argv, _, _ = _serve(state)
+    _resume(argv, _jsonl([SERVE_ADDS[0], SHUTDOWN]), monkeypatch)
 
 
 def _scale(state: Path):
@@ -72,23 +104,30 @@ def _scale(state: Path):
     return argv, "", lambda: json.loads(out.read_text(encoding="utf-8"))
 
 
-def _scale_head_start(state: Path) -> None:
+def _scale_head_start(state: Path, monkeypatch) -> None:
     """Journal the fit and two shards, so the kill lands mid-sweep."""
     config = ScaleConfig(dataset_id="Ds2", records=800, shard_size=150)
     ShardedSweep(config, cache_dir=state).run(max_shards=2)
 
 
-#: name -> (state dir -> (argv, stdin, final-state reader), preparation).
+#: name -> (state dir -> (argv, stdin, final-state reader), head start,
+#: layout, the counter a resume bumps for each committed unit it reuses).
 USERS = {
-    "runner": (_runner, None),
-    "serve": (_serve, None),
-    "scale": (_scale, _scale_head_start),
+    "runner": (_runner, _runner_head_start, RUNNER_STATE, "journal.skip"),
+    "serve": (_serve, _serve_head_start, SERVE_STATE, "serve.adds_skipped"),
+    "scale": (_scale, _scale_head_start, SCALE_STATE, "scale.fit_resumed"),
 }
 
 
-def _resume(argv, stdin, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    assert main(argv) == 0
+@pytest.fixture(scope="module")
+def head_starts(tmp_path_factory):
+    """Each user's committed head start, built once; every case copies it."""
+    dirs = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name, (_, head_start, *_) in USERS.items():
+            dirs[name] = tmp_path_factory.mktemp(f"{name}-head") / "s"
+            head_start(dirs[name], monkeypatch)
+    return dirs
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +135,7 @@ def controls(tmp_path_factory):
     """Each user's final state after one uninterrupted run."""
     states = {}
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for name, (user, _) in USERS.items():
+        for name, (user, *_) in USERS.items():
             argv, stdin, final_state = user(tmp_path_factory.mktemp(name) / "s")
             _resume(argv, stdin, monkeypatch)
             states[name] = final_state()
@@ -110,13 +149,14 @@ CASES = [(name, site) for site in SITES for name in USERS] + [
 
 @pytest.mark.parametrize(("name", "site"), CASES)
 def test_kill_doctor_resume_matches_control(
-    name, site, controls, tmp_path, monkeypatch, capsys
+    name, site, head_starts, controls, tmp_path, monkeypatch, capsys
 ):
-    user, prepare = USERS[name]
+    user, _, layout, reused = USERS[name]
     state = tmp_path / "state"
     argv, stdin, final_state = user(state)
-    if prepare is not None:
-        prepare(state)
+    shutil.copytree(head_starts[name], state)
+    committed = CheckpointJournal(state / layout.journal).completed
+    assert committed
     path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     killed = subprocess.run(
         [sys.executable, "-m", "repro", *argv, "--inject", f"{site}=kill"],
@@ -131,6 +171,9 @@ def test_kill_doctor_resume_matches_control(
     assert main(["doctor", "--cache", str(state)]) == 0
     assert main(["doctor", "--check", "--cache", str(state)]) == 0
     capsys.readouterr()
+    assert committed <= CheckpointJournal(state / layout.journal).completed
 
-    _resume(argv, stdin, monkeypatch)
+    with obs.use(Observability()):
+        _resume(argv, stdin, monkeypatch)
+        assert obs.counter(reused) >= 1
     assert final_state() == controls[name]

@@ -15,6 +15,7 @@ from repro.runtime.state import SERVE_STATE
 from repro.serve import FrontendConfig, SocketFrontend, open_session
 from repro.serve.frontend import AdmissionQueue, _Admitted
 from repro.serve.loop import ServeLoop
+from tests.serve.client import record_payload
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +27,6 @@ def frontend_task(small_sources):
         seed=17,
         name="frontend_task",
     )
-
-
-def record_payload(record, new_id=None):
-    return {
-        "record_id": new_id if new_id is not None else record.record_id,
-        "source": record.source,
-        "values": dict(record.values),
-    }
 
 
 class StubClient:

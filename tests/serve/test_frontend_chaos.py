@@ -1,4 +1,4 @@
-"""Concurrency fuzz + chaos campaigns for the socket front end.
+"""Concurrency fuzz, fault property and SIGKILL for the socket front end.
 
 The contract under test is the paper's reproducibility invariant carried
 into serving: interleaved clients, injected faults and even a SIGKILL
@@ -20,18 +20,27 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.datasets.generator import build_task_from_sources
-from repro.runtime.chaos import frontend_site_pool, generate_frontend_plans
+from repro.runtime import faults
 from repro.runtime.state import SERVE_STATE
 from repro.serve import FrontendConfig, MatcherSession, SocketFrontend, open_session
-from repro.serve.chaos import (
-    RetryClient,
-    offline_baseline,
-    record_payload,
-    run_frontend_campaign,
-)
 from repro.serve.loop import ServeLoop
+from tests.serve.client import RetryClient, record_payload
+
+#: Front-end fault sites. Each degrades one connection or one request,
+#: never the daemon; ``hang`` only stretches wall time (the deadline
+#: model covers it) and ``kill`` is the subprocess case below.
+FRONTEND_SITES = (
+    "frontend:accept",
+    "frontend:read",
+    "frontend:write",
+    "frontend:disconnect",
+    "frontend:batch",
+    "serve:request",
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,17 +60,6 @@ def session_snapshot(chaos_task, tmp_path_factory):
     path = tmp_path_factory.mktemp("chaos") / "session.json"
     open_session(chaos_task, k=3).save(path)
     return path
-
-
-class TestFrontendPlans:
-    def test_schedule_is_seeded_and_scoped(self):
-        first = generate_frontend_plans(6, seed=3)
-        second = generate_frontend_plans(6, seed=3)
-        assert first == second
-        pool_sites = {planned.site for planned in frontend_site_pool()}
-        assert {
-            planned.site for plan in first for planned in plan.faults
-        } <= pool_sites
 
 
 class TestConcurrentFuzz:
@@ -179,31 +177,67 @@ class TestConcurrentFuzz:
         ]
 
 
-class TestFrontendChaosCampaign:
-    def test_campaign_diffs_clean_against_baseline(
-        self, chaos_task, session_snapshot
-    ):
-        donors = [
-            type(record)(f"chaos-d{i}", record.source, dict(record.values))
-            for i, record in enumerate(chaos_task.right.records()[:4])
-        ]
-        probes = chaos_task.left.records()[:4]
-        report = run_frontend_campaign(
-            lambda: MatcherSession.load(session_snapshot),
-            donors,
-            probes,
-            n_plans=5,
-            seed=3,
-            k=3,
+@pytest.fixture(scope="module")
+def workload(chaos_task, session_snapshot):
+    """Donors to add, probes to query, and the fault-free answers."""
+    donors = [
+        type(record)(f"chaos-d{i}", record.source, dict(record.values))
+        for i, record in enumerate(chaos_task.right.records()[:4])
+    ]
+    probes = chaos_task.left.records()[:4]
+    session = MatcherSession.load(session_snapshot)
+    session.add_records(donors)
+    answers = {
+        probe.record_id: result.to_dict()
+        for probe, result in zip(probes, session.query_batch(probes, 3))
+    }
+    return donors, probes, answers, len(session)
+
+
+@pytest.mark.fault_smoke
+@seed(20240401)
+@settings(max_examples=10, deadline=None)
+@given(
+    armed=st.lists(
+        st.sampled_from(FRONTEND_SITES), min_size=1, max_size=2, unique=True
+    )
+)
+def test_faulted_frontend_answers_like_the_offline_session(
+    armed, session_snapshot, workload
+):
+    """Add the donors, query every probe, retrying through the faults."""
+    donors, probes, answers, expected_records = workload
+    session = MatcherSession.load(session_snapshot)
+    frontend = SocketFrontend(ServeLoop(session), listen="127.0.0.1:0")
+    for site in armed:
+        faults.arm(site, "error", times=1)
+    client = None
+    try:
+        frontend.start()
+        client = RetryClient(frontend.address())
+        added = client.request(
+            {
+                "op": "add",
+                "id": "chaos-add",
+                "records": [record_payload(r) for r in donors],
+            }
         )
-        assert len(report.results) == 5
-        for result in report.results:
-            assert result.ok, (
-                f"{result.plan.describe()}: {result.divergences}"
+        assert added is not None and added["ok"], added
+        for probe in probes:
+            response = client.request(
+                {"op": "query", "record": record_payload(probe), "k": 3}
             )
-            # Every probe must eventually be answered: the pool's faults
-            # are all bounded (times=1), so retries converge.
-            assert result.answered == len(probes)
+            # Bounded faults (times=1): every probe is answered in the end,
+            # and bit-identically to the offline session.
+            assert response is not None and response["ok"], response
+            assert response["result"] == answers[probe.record_id]
+        # A replayed add dedupes, so the record count cannot drift.
+        assert len(session) == expected_records
+    finally:
+        faults.reset()
+        if client is not None:
+            client.close()
+        frontend.stop()
 
 
 def _spawn_serve(*extra_args):

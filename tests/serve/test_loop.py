@@ -1,4 +1,4 @@
-"""Tests for the JSONL serve loop: protocol, durability, drain, chaos."""
+"""Tests for the JSONL serve loop: protocol, durability, drain, faults."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from repro.runtime import faults
 from repro.runtime.state import SERVE_STATE
 from repro.serve import MatcherSession, open_session
 from repro.serve.loop import ServeLoop
+from tests.serve.client import record_payload
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +42,6 @@ def run_requests(session, requests, **loop_options):
     code = loop.run(source, sink, install_signals=False)
     assert code == 0
     return [json.loads(line) for line in sink.getvalue().splitlines()]
-
-
-def record_payload(record, new_id=None):
-    return {
-        "record_id": new_id if new_id is not None else record.record_id,
-        "source": record.source,
-        "values": dict(record.values),
-    }
 
 
 class TestProtocol:
