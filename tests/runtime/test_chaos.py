@@ -19,7 +19,7 @@ import functools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cli import main
@@ -190,27 +190,10 @@ def _degraded_cells(state) -> int:
     )
 
 
-@pytest.mark.fault_smoke
-@seed(20240401)
-@settings(
-    max_examples=10,
-    deadline=None,
-    # The autouse fault reset is function-scoped; every example resets
-    # the fault registry and the degradation ladder itself.
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    armed=st.lists(
-        st.sampled_from(SITES), min_size=1, max_size=3, unique_by=lambda f: f[0]
-    ),
-    fault_seed=st.integers(0, 2**31 - 1),
-)
-@example(armed=[("matcher:DITTO (15)", "error", None, 1.0)], fault_seed=0)
-def test_faulted_sweeps_reach_the_fault_free_scores(
-    armed, fault_seed, tmp_path_factory
-):
+def _assert_faulted_sweeps_reach_the_baseline(armed, fault_seed, workdir):
+    """Arm ``armed``, sweep twice into ``workdir`` and hold both sweeps to
+    the fault-free baseline; ``repro doctor`` must then audit clean."""
     baseline = _baseline()
-    workdir = tmp_path_factory.mktemp("faulted")
     for site, kind, times, probability in armed:
         faults.arm(site, kind, times=times, probability=probability, seed=fault_seed)
     # guard:oom needs an armed guard; a budget no real run reaches keeps
@@ -243,3 +226,33 @@ def test_faulted_sweeps_reach_the_fault_free_scores(
         assert len(failures) >= 1
     assert main(["doctor", "--cache", str(workdir)]) == 0
     assert main(["doctor", "--check", "--cache", str(workdir)]) == 0
+
+
+@pytest.mark.fault_smoke
+class TestCampaignSmoke:
+    @seed(20240401)
+    @settings(
+        max_examples=10,
+        deadline=None,
+        # The autouse fault reset is function-scoped; every example resets
+        # the fault registry and the degradation ladder itself.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        armed=st.lists(
+            st.sampled_from(SITES), min_size=1, max_size=3, unique_by=lambda f: f[0]
+        ),
+        fault_seed=st.integers(0, 2**31 - 1),
+    )
+    def test_small_campaign_survives_with_zero_divergences(
+        self, armed, fault_seed, tmp_path_factory
+    ):
+        """The property: any 1-3 distinct fault sites, drawn 10 times."""
+        _assert_faulted_sweeps_reach_the_baseline(
+            armed, fault_seed, tmp_path_factory.mktemp("faulted")
+        )
+
+    def test_always_failing_matcher_degrades_but_never_diverges(self, tmp_path):
+        _assert_faulted_sweeps_reach_the_baseline(
+            [("matcher:DITTO (15)", "error", None, 1.0)], 0, tmp_path
+        )
