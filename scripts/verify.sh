@@ -3,7 +3,8 @@
 # suite (ROADMAP.md), the fast fault-injection smoke set (its offline
 # fault property runs a doctor repair and audit on every example it
 # draws, also under --smoke-only), then a regeneration of Table IV with
-# metrics/trace observability on a fresh cache, a supervision smoke
+# metrics/trace observability on a fresh cache (its trace roll-up must
+# show non-zero matcher-fit and extraction rows), a supervision smoke
 # (orphaned-lease repair by the doctor), the kernel-parity suite, all
 # three repository-benchmark workloads (their correctness gates plus the
 # scale-shards and serve-mix throughput floors), the overhead and
@@ -36,10 +37,27 @@ fi
 echo "== fault-injection smoke =="
 python -m pytest -x -q -m fault_smoke
 
-echo "== observability smoke (table4 --metrics) =="
+echo "== observability smoke (table4 --metrics, trace --last roll-up) =="
 SMOKE_CACHE="$(mktemp -d)"
 python -m repro table4 --metrics --cache "$SMOKE_CACHE"
-python -m repro trace --last --cache "$SMOKE_CACHE"
+python -m repro trace --last --cache "$SMOKE_CACHE" | tee "$SMOKE_CACHE/trace.out"
+# The self-time roll-up under the tree must show the matcher fits and
+# feature extraction at work.
+python - "$SMOKE_CACHE/trace.out" <<'EOF'
+import sys
+
+parts = open(sys.argv[1], encoding="utf-8").read().split("Self time by span name")
+assert len(parts) == 2, "trace --last printed no self-time roll-up"
+seconds = {
+    cells[0]: float(cells[2])
+    for cells in (line.split() for line in parts[1].splitlines()[3:])
+    if len(cells) == 4
+}
+fits = [n for n, s in seconds.items() if n.startswith("matchers.") and n.endswith("_fit") and s > 0]
+assert fits, f"no non-zero matchers.*_fit row in the roll-up: {seconds}"
+assert seconds.get("text.extract", 0.0) > 0, f"no non-zero text.extract row: {seconds}"
+print(f"roll-up: {', '.join(sorted(fits))} and text.extract at work")
+EOF
 
 echo "== supervision smoke: lease repair =="
 GUARD_CACHE="$(mktemp -d)"

@@ -20,8 +20,8 @@ The package implements the paper's full apparatus:
 * :mod:`repro.experiments` — the table/figure harness, paper comparison,
   SVG rendering and the ``python -m repro`` CLI.
 
-* :mod:`repro.obs` — zero-dependency observability: trace spans, a
-  metrics registry and profiling hooks, shared by every layer above;
+* :mod:`repro.obs` — zero-dependency observability: trace spans and a
+  metrics registry, shared by every layer above;
 * :mod:`repro.runtime` — fault-tolerant execution (policies, cache
   envelopes, checkpoint journal, resource guard);
 * :mod:`repro.serve` — resident matching sessions: a fitted matcher plus

@@ -9,7 +9,6 @@ definitions.
 from __future__ import annotations
 
 import functools
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -23,22 +22,19 @@ _C = TypeVar("_C", bound=Callable)
 def observed_candidates(method: _C) -> _C:
     """Instrument a blocker's ``candidates(self, sources)`` method.
 
-    Wraps candidate generation with the blocking metrics — candidate
-    count, block wall time, derived pairs/sec throughput — plus a phase
-    probe notification keyed by the blocker's class name. A decorator so
-    each blocker keeps its own generation logic untouched.
+    Runs candidate generation inside a ``blocking.candidates`` span
+    (attribute ``blocker``: the class name) and records the candidate
+    count and the derived pairs/sec throughput. A decorator so each
+    blocker keeps its own generation logic untouched.
     """
 
     @functools.wraps(method)
     def wrapper(self, sources: SourcePair):  # type: ignore[no-untyped-def]
-        start = time.perf_counter()
-        result = method(self, sources)
-        seconds = time.perf_counter() - start
-        obs.observe("blocking.block_seconds", seconds)
+        with obs.span("blocking.candidates", blocker=type(self).__name__) as span:
+            result = method(self, sources)
         obs.inc("blocking.candidates", len(result))
-        if seconds > 0:
-            obs.gauge("blocking.pairs_per_sec", len(result) / seconds)
-        obs.phase(type(self).__name__, "block", seconds)
+        if span.wall_seconds > 0:
+            obs.gauge("blocking.pairs_per_sec", len(result) / span.wall_seconds)
         return result
 
     return wrapper  # type: ignore[return-value]
@@ -113,9 +109,10 @@ def evaluate_blocking(
     candidates: Iterable[tuple[str, str]], sources: SourcePair
 ) -> BlockingResult:
     """Score a candidate key set against the source pair's ground truth."""
-    candidate_set = frozenset(candidates)
+    with obs.span("blocking.evaluate"):
+        candidate_set = frozenset(candidates)
+        matching = len(candidate_set & sources.matches)
     obs.inc("blocking.evaluations")
-    matching = len(candidate_set & sources.matches)
     # A zero-match source is vacuously complete: there is no true match a
     # candidate set could have missed. Reporting 0.0 here made tuners
     # (tune_deepblocker/tune_ann) unable to ever meet their recall target

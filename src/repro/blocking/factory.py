@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
+from repro import obs
 from repro.blocking.ann import AnnBlocker, AnnConfig, GraphIndex, LshIndex
 from repro.blocking.qgram import QGramBlocker
 from repro.blocking.sorted_neighborhood import SortedNeighborhoodBlocker
@@ -105,7 +106,8 @@ def make_index(
     if store is None:
         store = FeatureStore()
     view = ("qgrams", None, config.q)
-    records = list(records)
-    rows = store.rows(records, view)
-    index_class = GraphIndex if config.backend == "graph" else LshIndex
-    return index_class(records, rows, config, store=store, view=view)
+    with obs.span("blocking.index_build", backend=config.backend):
+        records = list(records)
+        rows = store.rows(records, view)
+        index_class = GraphIndex if config.backend == "graph" else LshIndex
+        return index_class(records, rows, config, store=store, view=view)

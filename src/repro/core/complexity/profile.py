@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core.complexity.base import (
     DEFAULT_MAX_INSTANCES,
     ComplexityInputs,
@@ -142,12 +143,13 @@ def complexity_profile(
     """
     from repro.core.complexity.base import schema_aware_feature_matrix
 
-    pairs = task.all_pairs()
-    if schema_aware:
-        features = schema_aware_feature_matrix(pairs, task.attributes)
-    else:
-        features = pair_feature_matrix(pairs)
-    inputs = prepare_inputs(
-        features, pairs.labels, max_instances=max_instances, seed=seed
-    )
-    return compute_profile(inputs)
+    with obs.span("core.complexity"):
+        pairs = task.all_pairs()
+        if schema_aware:
+            features = schema_aware_feature_matrix(pairs, task.attributes)
+        else:
+            features = pair_feature_matrix(pairs)
+        inputs = prepare_inputs(
+            features, pairs.labels, max_instances=max_instances, seed=seed
+        )
+        return compute_profile(inputs)

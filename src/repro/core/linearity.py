@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.data.pairs import LabeledPairSet
 from repro.data.task import MatchingTask
 from repro.text.feature_store import FeatureStore, store_for_task
@@ -187,9 +188,10 @@ def degree_of_linearity(
 
 def linearity_profile(task: MatchingTask) -> dict[str, LinearityResult]:
     """Both degrees of linearity (the two bars of Figure 1 per dataset)."""
-    return {
-        name: degree_of_linearity(task, name) for name in SIMILARITIES
-    }
+    with obs.span("core.linearity"):
+        return {
+            name: degree_of_linearity(task, name) for name in SIMILARITIES
+        }
 
 
 def schema_aware_linearity(

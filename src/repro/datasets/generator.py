@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.data.pairs import LabeledPairSet, RecordPair
 from repro.data.records import Record, RecordStore, Schema
 from repro.data.splits import split_three_way
@@ -242,48 +243,50 @@ def generate_shard(
 
     Pass a pre-built *factory* to amortize vocabulary construction
     across shards (it is derived from the profile seed either way).
+    Everything runs inside a ``datasets.shard_generate`` span.
     """
-    total = total_entities(profile)
-    n_shards = shard_count(profile, shard_size)
-    if not 0 <= shard_index < n_shards:
-        raise ValueError(
-            f"shard_index {shard_index} out of range for {n_shards} shard(s)"
-        )
-    if factory is None:
-        factory = EntityFactory(profile.domain, seed=profile.seed)
-    lo = shard_index * shard_size
-    hi = min(total, lo + shard_size)
+    with obs.span("datasets.shard_generate"):
+        total = total_entities(profile)
+        n_shards = shard_count(profile, shard_size)
+        if not 0 <= shard_index < n_shards:
+            raise ValueError(
+                f"shard_index {shard_index} out of range for {n_shards} shard(s)"
+            )
+        if factory is None:
+            factory = EntityFactory(profile.domain, seed=profile.seed)
+        lo = shard_index * shard_size
+        hi = min(total, lo + shard_size)
 
-    schema = Schema(profile.domain.attribute_names())
-    left_renderer = _Renderer(
-        factory, "a", profile.synonym_rate_left, profile.noise_left
-    )
-    right_renderer = _Renderer(
-        factory, "b", profile.synonym_rate_right, profile.noise_right
-    )
-    left = RecordStore(f"{profile.name}/A[{shard_index}]", schema)
-    right = RecordStore(f"{profile.name}/B[{shard_index}]", schema)
-    matches: set[tuple[str, str]] = set()
-    boundary = profile.n_matches + profile.left_extra
-    for entity in factory.entity_range(lo, hi, profile.family_fraction):
-        rng = _render_rng(profile, entity.entity_id)
-        if entity.entity_id < profile.n_matches:
-            left_record = left_renderer.render(entity, rng)
-            right_record = right_renderer.render(entity, rng)
-            left.add(left_record)
-            right.add(right_record)
-            matches.add((left_record.record_id, right_record.record_id))
-        elif entity.entity_id < boundary:
-            left.add(left_renderer.render(entity, rng))
-        else:
-            right.add(right_renderer.render(entity, rng))
-    return SourcePair(
-        name=f"{profile.name}[{shard_index}/{n_shards}]",
-        left=left,
-        right=right,
-        matches=frozenset(matches),
-        vocabulary=factory.vocabulary,
-    )
+        schema = Schema(profile.domain.attribute_names())
+        left_renderer = _Renderer(
+            factory, "a", profile.synonym_rate_left, profile.noise_left
+        )
+        right_renderer = _Renderer(
+            factory, "b", profile.synonym_rate_right, profile.noise_right
+        )
+        left = RecordStore(f"{profile.name}/A[{shard_index}]", schema)
+        right = RecordStore(f"{profile.name}/B[{shard_index}]", schema)
+        matches: set[tuple[str, str]] = set()
+        boundary = profile.n_matches + profile.left_extra
+        for entity in factory.entity_range(lo, hi, profile.family_fraction):
+            rng = _render_rng(profile, entity.entity_id)
+            if entity.entity_id < profile.n_matches:
+                left_record = left_renderer.render(entity, rng)
+                right_record = right_renderer.render(entity, rng)
+                left.add(left_record)
+                right.add(right_record)
+                matches.add((left_record.record_id, right_record.record_id))
+            elif entity.entity_id < boundary:
+                left.add(left_renderer.render(entity, rng))
+            else:
+                right.add(right_renderer.render(entity, rng))
+        return SourcePair(
+            name=f"{profile.name}[{shard_index}/{n_shards}]",
+            left=left,
+            right=right,
+            matches=frozenset(matches),
+            vocabulary=factory.vocabulary,
+        )
 
 
 def _generate_sharded(profile: GeneratorProfile, shard_size: int) -> SourcePair:

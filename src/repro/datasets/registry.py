@@ -7,6 +7,7 @@ harness and the test suite can request the same benchmark repeatedly.
 
 from __future__ import annotations
 
+from repro import obs
 from repro.data.task import MatchingTask
 from repro.datasets.established import (
     ESTABLISHED_ORDER,
@@ -34,10 +35,14 @@ _source_cache: dict[tuple[str, float], SourcePair] = {}
 def load_established_task(
     dataset_id: str, size_factor: float = 1.0
 ) -> MatchingTask:
-    """Build (or fetch from cache) one of the 13 established benchmarks."""
+    """Build (or fetch from cache) one of the 13 established benchmarks.
+
+    A build runs inside a ``datasets.generate`` span; a cache hit opens none.
+    """
     key = (dataset_id, size_factor)
     if key not in _task_cache:
-        _task_cache[key] = build_established_task(dataset_id, size_factor)
+        with obs.span("datasets.generate", dataset=dataset_id):
+            _task_cache[key] = build_established_task(dataset_id, size_factor)
     return _task_cache[key]
 
 

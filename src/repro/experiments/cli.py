@@ -29,11 +29,12 @@ findings).
 consecutive times short-circuits instead of burning retries.
 
 Observability (:mod:`repro.obs`): every run traces its sweeps, matcher
-evaluations and assessments into ``<cache>/trace.jsonl`` —
-``python -m repro trace --last`` renders the most recent run as a tree.
-``--metrics`` appends the run's counters/gauges/timers after the output
-(never altering the output itself) and ``--profile`` samples the hottest
-units while the run executes.
+evaluations, assessments and the layers inside them (``matchers.dl_fit``,
+``text.extract``, ``runtime.persist``, ...) into ``<cache>/trace.jsonl``
+— ``python -m repro trace --last`` renders the most recent run as a tree
+followed by its self time per span name. ``--metrics`` appends the run's
+counters/gauges/timers after the output (never altering the output
+itself).
 """
 
 from __future__ import annotations
@@ -181,12 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the run's metrics (counters/gauges/timers) after the "
         "output; never changes the output itself",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample the active spans while the run executes and print the "
-        "hottest units afterwards (opt-in; adds sampling overhead)",
     )
     parser.add_argument(
         "--last",
@@ -394,26 +389,18 @@ def _print_failures(runner: ExperimentRunner) -> None:
 
 
 def _print_observability(runner: ExperimentRunner, args) -> None:
-    """The opt-in ``--metrics`` / ``--profile`` epilogue, after the output."""
+    """The opt-in ``--metrics`` epilogue, after the output."""
     if args.metrics:
         print()
         print(render(runner.obs.snapshot(), title="Metrics"))
-    if args.profile:
-        runner.obs.profiler.stop()
-        rows = [
-            [label, str(samples), f"{seconds:.2f}s"]
-            for label, samples, seconds in runner.obs.profiler.summary(10)
-        ]
-        print()
-        if rows:
-            print(render((["unit", "samples", "~seconds"], rows),
-                         title="Hottest units (sampled)"))
-        else:
-            print("Hottest units (sampled): no samples collected")
 
 
 def _trace_command(cache_dir: Path | None, last: bool) -> int:
-    """``python -m repro trace [--last]``: render the trace file as trees."""
+    """``python -m repro trace [--last]``: each run's tree and self times.
+
+    Under each tree, one row per span name: how many spans, their self
+    seconds (wall minus their children's) and that share of the run.
+    """
     if cache_dir is None:
         print("trace requires a cache directory (--cache DIR)")
         return 2
@@ -430,6 +417,15 @@ def _trace_command(cache_dir: Path | None, last: bool) -> int:
             print()
         spans = runs[run_id]
         print(render(spans, title=f"Trace {run_id} ({len(spans)} span(s))"))
+        rows = obs.self_times(spans)
+        total = sum(seconds for __, __, seconds in rows) or 1.0
+        print()
+        print(render(
+            (["span", "count", "self_s", "share"],
+             [[name, str(count), f"{seconds:.3f}", f"{seconds / total:.1%}"]
+              for name, count, seconds in rows]),
+            title="Self time by span name",
+        ))
     return 0
 
 
@@ -703,9 +699,6 @@ def _run_command(args) -> int:
             adaptive_deadlines=args.adaptive_deadlines,
         )
     )
-    if args.profile:
-        runner.obs.profiler.start()
-
     if args.experiment == "audit":
         if args.dataset is None:
             print("audit requires a dataset id (see 'repro list')")

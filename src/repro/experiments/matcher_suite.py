@@ -13,9 +13,9 @@ Per dataset the suite evaluates:
   (sharing one feature extractor) and ZeroER;
 * the six linear ESDE variants.
 
-``family_of`` classifies a matcher name into ``"dl"`` / ``"ml"`` /
-``"linear"`` — the three table sections — and drives the NLB split
-(non-linear = dl + ml).
+``family_of`` (defined in :mod:`repro.matchers`, importable from here)
+classifies a matcher name into ``"dl"`` / ``"ml"`` / ``"linear"`` — the
+three table sections — and drives the NLB split (non-linear = dl + ml).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.core.practical import (
     unmeasured_practical,
 )
 from repro.data.task import MatchingTask
-from repro.matchers.base import Matcher, MatcherResult
+from repro.matchers.base import Matcher, MatcherResult, family_of
 from repro.matchers.deep import (
     DeepMatcherNet,
     DittoNet,
@@ -98,15 +98,6 @@ def _roster(task: MatchingTask, seed: int, share_training: bool) -> list[Matcher
     for variant in ("SA", "SAQ", "SAS", "SB", "SBQ", "SBS"):
         suite.append(EsdeMatcher(variant))
     return suite
-
-
-def family_of(matcher_name: str) -> str:
-    """Table section of a matcher name: ``"dl"``, ``"ml"`` or ``"linear"``."""
-    if matcher_name.endswith("-ESDE"):
-        return "linear"
-    if matcher_name.startswith(("Magellan", "ZeroER")):
-        return "ml"
-    return "dl"
 
 
 #: Exceptions a matcher may legitimately raise on a degenerate task (e.g.

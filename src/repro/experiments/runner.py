@@ -505,18 +505,17 @@ class ExperimentRunner:
                 # Span per *attempt*: a retried sweep shows up once per
                 # try, with the failed attempts marked as such.
                 with self.obs.span("sweep", dataset=dataset_id) as span:
-                    with self.obs.timed("sweep.seconds"):
-                        faults.fire(unit_id)
-                        if self.guard is not None:
-                            self.guard.checkpoint(unit_id)
-                        results = evaluate_suite(
-                            self.task_for(dataset_id),
-                            seed=self.seed,
-                            policy=self.policy,
-                            failures=self._failures,
-                            guard=self.guard,
-                            deadlines=self.deadlines,
-                        )
+                    faults.fire(unit_id)
+                    if self.guard is not None:
+                        self.guard.checkpoint(unit_id)
+                    results = evaluate_suite(
+                        self.task_for(dataset_id),
+                        seed=self.seed,
+                        policy=self.policy,
+                        failures=self._failures,
+                        guard=self.guard,
+                        deadlines=self.deadlines,
+                    )
                     if any(result.degraded for result in results.values()):
                         span.mark_degraded()
                     return results

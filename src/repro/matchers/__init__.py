@@ -13,10 +13,11 @@ Three families (Section IV):
 
 Every matcher follows the :class:`Matcher` API: ``fit(task)`` trains on the
 task's training/validation sets, ``predict(pairs)`` labels a pair set, and
-``evaluate(task)`` reports test-set precision/recall/F1.
+``evaluate(task)`` reports test-set precision/recall/F1. ``family_of``
+names a matcher's family (``"dl"`` / ``"ml"`` / ``"linear"``).
 """
 
-from repro.matchers.base import Matcher, MatcherResult
+from repro.matchers.base import Matcher, MatcherResult, family_of
 from repro.matchers.esde import (
     ESDE_VARIANTS,
     EsdeMatcher,
@@ -35,5 +36,6 @@ __all__ = [
     "MatcherResult",
     "OracleMatcher",
     "ZeroERMatcher",
+    "family_of",
     "make_esde",
 ]

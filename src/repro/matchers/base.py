@@ -38,12 +38,23 @@ class MatcherResult:
         return 100.0 * self.f1
 
 
+def family_of(matcher_name: str) -> str:
+    """Table section of a matcher name: ``"dl"``, ``"ml"`` or ``"linear"``."""
+    if matcher_name.endswith("-ESDE"):
+        return "linear"
+    if matcher_name.startswith(("Magellan", "ZeroER")):
+        return "ml"
+    return "dl"
+
+
 class Matcher(abc.ABC):
     """A supervised (or unsupervised) matching algorithm.
 
     Subclasses implement ``_fit`` and ``_predict``; this base class provides
     evaluation, timing, and the fitted-state guard. ``name`` identifies the
-    matcher in tables (e.g. ``"DeepMatcher (15)"``).
+    matcher in tables (e.g. ``"DeepMatcher (15)"``). ``fit`` runs inside a
+    ``matchers.{family}_fit`` span (see :func:`family_of`), ``predict``
+    inside a ``matchers.predict`` span.
     """
 
     #: Linear matchers set this False; the NLB measure needs the split.
@@ -55,7 +66,8 @@ class Matcher(abc.ABC):
 
     def fit(self, task: MatchingTask) -> "Matcher":
         """Train on the task's training (and validation) sets."""
-        self._fit(task)
+        with obs.span(f"matchers.{family_of(self.name)}_fit"):
+            self._fit(task)
         self._fitted = True
         return self
 
@@ -63,8 +75,8 @@ class Matcher(abc.ABC):
         """0/1 predictions for each pair, aligned with the set's order."""
         if not self._fitted:
             raise RuntimeError(f"{self.name} is not fitted; call fit() first")
-        predictions = self._predict(pairs)
-        predictions = np.asarray(predictions, dtype=np.int64)
+        with obs.span("matchers.predict"):
+            predictions = np.asarray(self._predict(pairs), dtype=np.int64)
         if predictions.shape != (len(pairs),):
             raise RuntimeError(
                 f"{self.name} returned {predictions.shape} predictions "
@@ -83,10 +95,6 @@ class Matcher(abc.ABC):
         predict_seconds = time.perf_counter() - start
 
         obs.inc("matcher.evaluations")
-        obs.observe("matcher.fit_seconds", fit_seconds)
-        obs.observe("matcher.predict_seconds", predict_seconds)
-        obs.phase(self.name, "fit", fit_seconds)
-        obs.phase(self.name, "predict", predict_seconds)
 
         precision, recall, f1 = precision_recall_f1(
             task.testing.labels, predictions

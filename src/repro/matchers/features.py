@@ -17,7 +17,8 @@ kernels of :mod:`repro.text.kernels` through the task's shared
 record once, batch the set measures, consult the content-addressed disk
 cache when one is active); the per-pair ``features(pair)`` path keeps its
 private caches and stays byte-identical to the matrix path — it is the
-oracle the parity tests compare against.
+oracle the parity tests compare against. Each matrix or column request
+runs inside a ``text.extract`` span.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.data.pairs import LabeledPairSet, RecordPair
 from repro.data.records import Record
 from repro.data.task import MatchingTask
@@ -315,14 +317,15 @@ class EsdeFeatureExtractor:
         stacking :meth:`features` per pair (the parity-tested oracle).
         """
         pair_list = pairs.pairs
-        return self._store.matrix(
-            spec=f"esde:{self.variant}",
-            pairs=pair_list,
-            names=self.feature_names,
-            compute=lambda: self._compute_matrix(pair_list),
-            cacheable=self._cacheable,
-            compute_pairs=lambda subset: self._compute_matrix(list(subset)),
-        )
+        with obs.span("text.extract"):
+            return self._store.matrix(
+                spec=f"esde:{self.variant}",
+                pairs=pair_list,
+                names=self.feature_names,
+                compute=lambda: self._compute_matrix(pair_list),
+                cacheable=self._cacheable,
+                compute_pairs=lambda subset: self._compute_matrix(list(subset)),
+            )
 
     def feature_column(self, pairs: LabeledPairSet, index: int) -> np.ndarray:
         """One feature's values over *pairs* — the ESDE predict fast path.
@@ -332,16 +335,17 @@ class EsdeFeatureExtractor:
         """
         pair_list = pairs.pairs
         name = self.feature_names[index]
-        column = self._store.matrix(
-            spec=f"esde:{self.variant}:col{index}",
-            pairs=pair_list,
-            names=(name,),
-            compute=lambda: self._compute_column(pair_list, index),
-            cacheable=self._cacheable,
-            compute_pairs=lambda subset: self._compute_column(
-                list(subset), index
-            ),
-        )
+        with obs.span("text.extract"):
+            column = self._store.matrix(
+                spec=f"esde:{self.variant}:col{index}",
+                pairs=pair_list,
+                names=(name,),
+                compute=lambda: self._compute_column(pair_list, index),
+                cacheable=self._cacheable,
+                compute_pairs=lambda subset: self._compute_column(
+                    list(subset), index
+                ),
+            )
         return column.reshape(len(pair_list))
 
 
@@ -492,10 +496,11 @@ class MagellanFeatureExtractor:
 
     def feature_matrix(self, pairs: LabeledPairSet) -> np.ndarray:
         pair_list = pairs.pairs
-        return self._store.matrix(
-            spec="magellan",
-            pairs=pair_list,
-            names=self.feature_names,
-            compute=lambda: self._compute_matrix(pair_list),
-            compute_pairs=lambda subset: self._compute_matrix(list(subset)),
-        )
+        with obs.span("text.extract"):
+            return self._store.matrix(
+                spec="magellan",
+                pairs=pair_list,
+                names=self.feature_names,
+                compute=lambda: self._compute_matrix(pair_list),
+                compute_pairs=lambda subset: self._compute_matrix(list(subset)),
+            )

@@ -1,15 +1,15 @@
-"""Zero-dependency observability: trace spans, metrics, profiling hooks.
+"""Zero-dependency observability: trace spans and metrics.
 
 The paper's verdicts hinge on a handful of expensive matcher sweeps;
-this package makes a regeneration *legible* — where the wall-clock goes
-(:mod:`~repro.obs.spans`), how much of what happened
-(:mod:`~repro.obs.metrics`), and which units are hottest
-(:mod:`~repro.obs.probe`) — without adding a dependency or measurable
-overhead (DESIGN.md §8 budgets ≤2%, enforced by
+this package makes a regeneration *legible* — where the wall-clock goes,
+layer by layer (:mod:`~repro.obs.spans`; ``repro trace --last`` rolls
+a run up into self seconds per span name), and how much of what
+happened (:mod:`~repro.obs.metrics`) — without adding a dependency or
+measurable overhead (DESIGN.md §8 budgets ≤2%, enforced by
 ``benchmarks/bench_overhead.py``).
 
-One :class:`Observability` instance bundles a trace collector, a metrics
-registry and the probe list. A process-wide instance is active by
+One :class:`Observability` instance bundles a trace collector and a
+metrics registry. A process-wide instance is active by
 default, mirroring how :mod:`repro.runtime.faults` works: low-level code
 (cache readers, execution policies, matchers, blockers) calls the
 module-level helpers —
@@ -19,7 +19,7 @@ module-level helpers —
     obs.inc("cache.hit")
     with obs.span("sweep", dataset="Ds4") as sweep_span:
         ...
-    obs.observe("matcher.fit_seconds", dt)
+    obs.observe("kernel.seconds", dt)
 
 — and everything lands in the active instance. Tests and embedders swap
 in their own via :func:`activate` (restore the previous one afterwards).
@@ -37,8 +37,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     is_metrics_snapshot,
 )
-from repro.obs.probe import PhaseAccumulator, Probe, SamplingProfiler
-from repro.obs.spans import STATUSES, Span, TraceCollector, read_trace
+from repro.obs.spans import STATUSES, Span, TraceCollector, read_trace, self_times
 
 __all__ = [
     "STATUSES",
@@ -46,9 +45,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "Observability",
-    "PhaseAccumulator",
-    "Probe",
-    "SamplingProfiler",
     "Span",
     "TraceCollector",
     "activate",
@@ -60,8 +56,8 @@ __all__ = [
     "is_metrics_snapshot",
     "new_run_id",
     "observe",
-    "phase",
     "read_trace",
+    "self_times",
     "snapshot",
     "span",
     "timed",
@@ -77,13 +73,11 @@ def new_run_id() -> str:
 
 
 class Observability:
-    """One coherent observability surface: spans + metrics + probes."""
+    """One coherent observability surface: spans + metrics."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.trace = TraceCollector(enabled=enabled)
         self.metrics = MetricsRegistry(enabled=enabled)
-        self.probes: list[Probe] = []
-        self.profiler = SamplingProfiler(self.trace)
 
     # -- enablement --------------------------------------------------------
 
@@ -121,32 +115,6 @@ class Observability:
 
     def snapshot(self) -> dict[str, dict]:
         return self.metrics.snapshot()
-
-    # -- probes ------------------------------------------------------------
-
-    def add_probe(self, probe: Probe) -> None:
-        self.probes.append(probe)
-
-    def remove_probe(self, probe: Probe) -> None:
-        if probe in self.probes:
-            self.probes.remove(probe)
-
-    def phase(self, unit: str, phase_name: str, seconds: float) -> None:
-        """Phase-boundary hook: notify probes and feed the phase timer."""
-        if not self.enabled:
-            return
-        self.metrics.observe(f"phase.{phase_name}", seconds)
-        for probe in self.probes:
-            probe.on_phase(unit, phase_name, seconds)
-
-    def reset(self) -> None:
-        """Clear spans, metrics and probe/profiler state (test hygiene)."""
-        self.trace.reset()
-        self.trace.detach_file()
-        self.metrics.reset()
-        self.probes.clear()
-        self.profiler.stop()
-        self.profiler.reset()
 
 
 _ACTIVE = Observability()
@@ -203,10 +171,6 @@ def observe(name: str, seconds: float) -> None:
 def timed(name: str):
     """Time a ``with`` block into the active registry's timer ``name``."""
     return _ACTIVE.timed(name)
-
-
-def phase(unit: str, phase_name: str, seconds: float) -> None:
-    _ACTIVE.phase(unit, phase_name, seconds)
 
 
 def snapshot() -> dict[str, dict]:

@@ -3,7 +3,7 @@
 The registry is the quantitative half of :mod:`repro.obs` — spans say
 *where* a run spent its time, metrics say *how much of what happened*:
 cache hits and misses, journal skips, policy retries, injected faults,
-per-matcher fit/predict seconds, blocking throughput. Everything is
+serving latencies, blocking throughput. Everything is
 stdlib-only and cheap enough to stay on in production runs.
 
 Three instrument kinds:
@@ -84,11 +84,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0.0)
 
-    def timer_total(self, name: str) -> float:
-        """Accumulated seconds of the timer ``name`` (0 if never observed)."""
-        stat = self._timers.get(name)
-        return stat.total if stat is not None else 0.0
-
     def snapshot(self) -> dict[str, dict]:
         """JSON-ready dict of every instrument, keys sorted (see module doc)."""
         with self._lock:
@@ -106,13 +101,6 @@ class MetricsRegistry:
                 },
             }
 
-    def reset(self) -> None:
-        """Drop every instrument (run/test boundary hygiene)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._timers.clear()
-
 
 class LatencyHistogram:
     """Log-bucketed latency histogram with p50/p99 quantile estimates.
@@ -121,7 +109,8 @@ class LatencyHistogram:
     them on a geometric grid from ``lowest`` seconds (everything below
     lands in bucket 0) with ``growth`` spacing, so a few hundred ints
     cover nanoseconds to minutes at ≤5% relative error per bucket.
-    Quantiles interpolate inside the winning bucket. Every registry
+    A quantile is the midpoint of the bucket it falls in, clamped to
+    the observed range. Every registry
     timer is one; serving loops also keep one per phase (block /
     extract / predict). ``to_dict`` is JSON-ready and deterministic for
     a fixed observation multiset.
@@ -175,7 +164,7 @@ class LatencyHistogram:
         for bucket in sorted(self._counts):
             seen += self._counts[bucket]
             if seen > rank:
-                # Interpolate inside the bucket; clamp to observed range.
+                # The bucket's midpoint, clamped to the observed range.
                 low = self._edge(bucket - 1) if bucket else 0.0
                 high = self._edge(bucket)
                 estimate = (low + high) / 2.0

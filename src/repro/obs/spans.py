@@ -3,11 +3,13 @@
 A *span* covers one named unit of work (``span("sweep", dataset="Ds4")``)
 and records wall and CPU seconds, an ok/degraded/failed status, and its
 parent span — so a full run yields a tree: sweeps containing matcher
-evaluations containing nothing, assessments beside them. Completed spans
-land in an in-memory :class:`TraceCollector` and, when a cache directory
-is configured, are appended as one JSON line each to ``trace.jsonl``
+evaluations containing the layers they run (``matchers.dl_fit``,
+``text.extract``, ``runtime.persist``, ...), assessments beside them.
+When a trace file is attached (a cache directory is configured), each
+span is appended as one JSON line to ``trace.jsonl`` as it closes
 (append-only, like the checkpoint journal — a crash loses at most the
-in-flight span).
+in-flight span); that file is the only span sink. :func:`self_times`
+rolls a run's spans up into self seconds per span name.
 
 Parenting uses a :mod:`contextvars` stack, so spans nest correctly across
 the deadline threads of :class:`repro.runtime.policy.ExecutionPolicy`
@@ -23,7 +25,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -104,25 +106,18 @@ class Span:
         )
 
 
-@dataclass
-class _ActiveSpan:
-    """Book-keeping for a span that is still open (profiler sampling)."""
-
-    span_id: str
-    parent_id: str | None
-    label: str
-    started: float = field(default_factory=time.perf_counter)
-    record: "Span | None" = None
-
-
 class TraceCollector:
-    """In-memory span sink plus the optional append-only JSONL trace file."""
+    """Opens spans and appends each closed one to the attached trace file.
+
+    Only open spans stay in memory (for parenting and :meth:`annotate`),
+    and only while a trace file is attached: a closed span goes to the
+    file, and without one no span is recorded at all.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
-        self._spans: list[Span] = []
-        self._active: dict[str, _ActiveSpan] = {}
+        self._active: dict[str, Span] = {}
         self._trace_path: Path | None = None
         self._run_id: str | None = None
 
@@ -160,15 +155,27 @@ class TraceCollector:
 
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Open a child span of whatever span is active in this context."""
-        if not self.enabled:
-            yield Span(
-                span_id="disabled",
+        """Open a child span of whatever span is active in this context.
+
+        With no trace file attached (or tracing disabled) the span has
+        nowhere to go: it only times its wall seconds for the caller and
+        stays out of the parent stack and the open-span map, so the
+        spans on a serving process's per-request path cost next to
+        nothing.
+        """
+        if not self.enabled or self._trace_path is None:
+            record = Span(
+                span_id="untraced",
                 parent_id=None,
                 name=name,
                 attributes=attributes,
                 start_time=0.0,
             )
+            started = time.perf_counter()
+            try:
+                yield record
+            finally:
+                record.wall_seconds = time.perf_counter() - started
             return
         stack = _SPAN_STACK.get()
         record = Span(
@@ -180,12 +187,7 @@ class TraceCollector:
         )
         token = _SPAN_STACK.set(stack + (record.span_id,))
         with self._lock:
-            self._active[record.span_id] = _ActiveSpan(
-                span_id=record.span_id,
-                parent_id=record.parent_id,
-                label=_label(name, attributes),
-                record=record,
-            )
+            self._active[record.span_id] = record
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
         try:
@@ -199,7 +201,6 @@ class TraceCollector:
             _SPAN_STACK.reset(token)
             with self._lock:
                 self._active.pop(record.span_id, None)
-                self._spans.append(record)
             self._write_line(record)
 
     def current_span_id(self) -> str | None:
@@ -219,43 +220,11 @@ class TraceCollector:
         if span_id is None:
             return False
         with self._lock:
-            info = self._active.get(span_id)
-            if info is None or info.record is None:
+            record = self._active.get(span_id)
+            if record is None:
                 return False
-            info.record.attributes.update(attributes)
+            record.attributes.update(attributes)
         return True
-
-    # -- accessors ---------------------------------------------------------
-
-    def spans(self) -> list[Span]:
-        with self._lock:
-            return list(self._spans)
-
-    def active_spans(self) -> list[_ActiveSpan]:
-        with self._lock:
-            return list(self._active.values())
-
-    def active_leaf_labels(self) -> list[str]:
-        """Labels of active spans with no active children (profiler units)."""
-        with self._lock:
-            parents = {info.parent_id for info in self._active.values()}
-            return [
-                info.label
-                for info in self._active.values()
-                if info.span_id not in parents
-            ]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self._active.clear()
-
-
-def _label(name: str, attributes: dict[str, Any]) -> str:
-    if not attributes:
-        return name
-    detail = ",".join(f"{key}={value}" for key, value in sorted(attributes.items()))
-    return f"{name}[{detail}]"
 
 
 def read_trace(path: Path | str) -> dict[str, list[Span]]:
@@ -280,3 +249,27 @@ def read_trace(path: Path | str) -> dict[str, list[Span]]:
             continue
         runs.setdefault(str(entry.get("run")), []).append(Span.from_dict(entry))
     return runs
+
+
+def self_times(spans: list[Span]) -> list[tuple[str, int, float]]:
+    """``(name, count, self seconds)`` per span name, largest first.
+
+    A span's self time is its wall time minus its children's (clamped at
+    zero), so the rows of one run add up to the wall time of its roots.
+    """
+    children: dict[str, float] = {}
+    for span in spans:
+        if span.parent_id is not None:
+            children[span.parent_id] = (
+                children.get(span.parent_id, 0.0) + span.wall_seconds
+            )
+    totals: dict[str, list] = {}
+    for span in spans:
+        own = max(0.0, span.wall_seconds - children.get(span.span_id, 0.0))
+        row = totals.setdefault(span.name, [0, 0.0])
+        row[0] += 1
+        row[1] += own
+    return sorted(
+        ((name, count, seconds) for name, (count, seconds) in totals.items()),
+        key=lambda row: (-row[2], row[0]),
+    )

@@ -131,19 +131,25 @@ def write_envelope(
     *,
     schema_version: int = CACHE_SCHEMA_VERSION,
 ) -> None:
-    """Atomically write ``payload`` wrapped in a checksummed envelope."""
-    faults.fire("cache:write")
-    obs.inc("cache.write")
-    envelope = {
-        "cache_schema_version": schema_version,
-        "checksum": _checksum(_canonical(payload)),
-        "payload": payload,
-    }
-    # The torn-write site lets fault-injection tests publish a truncated
-    # envelope (simulating a non-atomic filesystem or a crash that beat
-    # the rename); readers then exercise the real quarantine path.
-    text = faults.torn_text("cache:torn-write", json.dumps(envelope, indent=1))
-    atomic_write_text(path, text)
+    """Atomically write ``payload`` wrapped in a checksummed envelope.
+
+    Runs inside a ``runtime.persist`` span.
+    """
+    with obs.span("runtime.persist"):
+        faults.fire("cache:write")
+        obs.inc("cache.write")
+        envelope = {
+            "cache_schema_version": schema_version,
+            "checksum": _checksum(_canonical(payload)),
+            "payload": payload,
+        }
+        # The torn-write site lets fault-injection tests publish a truncated
+        # envelope (simulating a non-atomic filesystem or a crash that beat
+        # the rename); readers then exercise the real quarantine path.
+        text = faults.torn_text(
+            "cache:torn-write", json.dumps(envelope, indent=1)
+        )
+        atomic_write_text(path, text)
 
 
 def read_envelope(

@@ -90,27 +90,31 @@ class CheckpointJournal:
         return self._entries.get(unit_id)
 
     def mark_done(self, unit_id: str, **info: object) -> None:
-        """Durably record a completed unit (idempotent)."""
+        """Durably record a completed unit (idempotent).
+
+        A new entry is appended inside a ``runtime.persist`` span.
+        """
         if self.is_done(unit_id) and self._entries[unit_id] == info:
             return
-        faults.fire("journal:append")
-        self._entries[unit_id] = dict(info)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"unit": unit_id, "info": info}, sort_keys=True)
-        if self._needs_newline:
-            line = "\n" + line
-            self._needs_newline = False
-        # The torn-write site garbles the bytes that reach the disk (the
-        # in-memory entry stays recorded, exactly like a crash between the
-        # dict update and the fsync) so fault-injection and doctor tests
-        # can produce a genuinely torn tail on demand.
-        data = faults.torn_text("journal:append", line + "\n")
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if not data.endswith("\n"):
-            self._needs_newline = True
+        with obs.span("runtime.persist"):
+            faults.fire("journal:append")
+            self._entries[unit_id] = dict(info)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            line = json.dumps({"unit": unit_id, "info": info}, sort_keys=True)
+            if self._needs_newline:
+                line = "\n" + line
+                self._needs_newline = False
+            # The torn-write site garbles the bytes that reach the disk (the
+            # in-memory entry stays recorded, exactly like a crash between the
+            # dict update and the fsync) so fault-injection and doctor tests
+            # can produce a genuinely torn tail on demand.
+            data = faults.torn_text("journal:append", line + "\n")
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            if not data.endswith("\n"):
+                self._needs_newline = True
 
     def compact(self) -> int:
         """Atomically rewrite the file to one line per unit; returns lines shed.

@@ -477,7 +477,6 @@ class ShardedSweep:
             )
         obs.inc("scale.shards")
         obs.inc("scale.records", stats.n_records)
-        obs.observe("scale.shard_seconds", stats.seconds)
         if stats.seconds > 0:
             obs.gauge("scale.records_per_sec", stats.n_records / stats.seconds)
         return stats

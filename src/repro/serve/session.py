@@ -257,7 +257,7 @@ class MatcherSession:
         vectorized feature-kernel pass — then fanned back out per query.
         Three latency phases are recorded: ``block`` (ANN probe wall
         time), ``extract`` (feature-kernel seconds inside predict, read
-        from the ``features.extract_seconds`` timer delta) and
+        from the delta of the session store's ``extract_seconds``) and
         ``predict`` (the classification remainder).
         """
         self._ensure_open()
@@ -289,15 +289,11 @@ class MatcherSession:
         extract_seconds = 0.0
         classify_seconds = 0.0
         if len(pair_set):
-            registry = obs.active().metrics
-            extract_before = registry.timer_total("features.extract_seconds")
+            extract_before = self._store.extract_seconds
             started = time.perf_counter()
             predicted = self._matcher.predict(pair_set)
             predict_wall = time.perf_counter() - started
-            extract_seconds = max(
-                0.0,
-                registry.timer_total("features.extract_seconds") - extract_before,
-            )
+            extract_seconds = self._store.extract_seconds - extract_before
             classify_seconds = max(0.0, predict_wall - extract_seconds)
             verdicts = {
                 pair.key: int(verdict)

@@ -27,9 +27,10 @@ are quarantined and recomputed, failed writes are dropped — only
 ``features.cache_*`` metrics record them, never a ``FailureRecord``.
 
 Every matrix request (memoized or not) increments ``features.requests``
-/ ``features.pairs``, feeds the ``features.extract_seconds`` timer and
-fires an ``obs.phase(..., "extract", dt)`` probe boundary, so profiling
-sees the extraction phase next to fit/predict/block.
+/ ``features.pairs`` and feeds the ``features.extract_seconds`` timer;
+the store also adds its seconds to its own :attr:`FeatureStore
+.extract_seconds`, which counts whether or not observability is on (a
+serving session splits its latency with it).
 """
 
 from __future__ import annotations
@@ -185,9 +186,14 @@ def feature_cache_scope(
 
 
 class FeatureStore:
-    """Tokenize-once substrate shared by every extractor of one task."""
+    """Tokenize-once substrate shared by every extractor of one task.
+
+    ``extract_seconds`` totals the wall time of this store's
+    :meth:`matrix` requests.
+    """
 
     def __init__(self) -> None:
+        self.extract_seconds = 0.0
         self._interners: dict[View, TokenInterner] = {}
         self._rows: dict[View, dict[tuple[str, str], np.ndarray]] = {}
         self._record_digests: dict[tuple[str, str], bytes] = {}
@@ -518,9 +524,9 @@ class FeatureStore:
         ``features.prefix_reused_pairs``). The exact disk cache sits in
         front and still serves byte-identical full hits.
 
-        Emits the request-level ``features.*`` metrics and the
-        ``extract`` phase probe regardless of where the matrix came
-        from, so counters are identical whether or not the cache hit.
+        Emits the request-level ``features.*`` metrics regardless of
+        where the matrix came from, so counters are identical whether or
+        not the cache hit.
         """
         started = time.perf_counter()
         obs.inc("features.requests")
@@ -569,8 +575,8 @@ class FeatureStore:
             self._matrix_memo[memo_key] = (len(pairs), chain, matrix)
 
         elapsed = time.perf_counter() - started
+        self.extract_seconds += elapsed
         obs.observe("features.extract_seconds", elapsed)
-        obs.phase(f"features:{spec}", "extract", elapsed)
         return matrix
 
 

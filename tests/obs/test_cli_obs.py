@@ -1,4 +1,4 @@
-"""CLI-level observability: --metrics/--profile/trace never change output."""
+"""CLI-level observability: --metrics/trace never change output."""
 
 from __future__ import annotations
 
@@ -53,6 +53,18 @@ class TestTraceCommand:
         assert "matcher" in out
         # Children indent under their sweep parent.
         assert "\n  matcher" in out
+        # The self-time roll-up under the tree has one row per layer.
+        rollup = out.split("Self time by span name", 1)[1]
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in rollup.splitlines()[3:]
+            if line.strip()
+        }
+        for layer in ("matchers.dl_fit", "matchers.predict", "text.extract",
+                      "runtime.persist"):
+            count, seconds, share = rows[layer]
+            assert int(count) > 0 and float(seconds) > 0, layer
+            assert share.endswith("%")
 
     def test_trace_without_runs_fails_cleanly(self, capsys, tmp_path):
         assert main(["trace", "--last", "--cache", str(tmp_path)]) == 1
@@ -61,15 +73,3 @@ class TestTraceCommand:
     def test_trace_requires_a_cache_dir(self, capsys):
         assert main(["trace", "--cache", ""]) == 2
         assert "requires a cache" in capsys.readouterr().out
-
-
-class TestProfileFlag:
-    def test_profile_appends_hottest_units(self, capsys, tmp_path):
-        out = run_cli(
-            capsys,
-            "audit", "Ds5", "--scale", "0.3",
-            "--cache", str(tmp_path),
-            "--profile",
-        )
-        assert "Hottest units" in out
-        assert not obs_module.active().profiler.running

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs as obs_module
-from repro.obs import Observability
+from repro.obs import TRACE_FILE_NAME, Observability, Span, new_run_id, read_trace
 from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.runtime import faults
 
@@ -28,9 +28,21 @@ def clean_faults():
     faults.reset()
 
 
-def observed_run(datasets=DATASETS, cache_dir=None) -> Observability:
-    """One sweep_all under a fresh active Observability; returns it."""
+def observed_run(
+    tmp_path, datasets=DATASETS, cache_dir=None
+) -> tuple[Observability, list[Span]]:
+    """One sweep_all under a fresh active Observability.
+
+    Returns the instance and the spans of the run. Without a
+    *cache_dir* the spans are read from a trace file attached under
+    *tmp_path*; with one, from the trace file the runner attaches there.
+    """
     handle = Observability()
+    if cache_dir is None:
+        trace_path = tmp_path / "attached" / TRACE_FILE_NAME
+        handle.trace.attach_file(trace_path, run_id=new_run_id())
+    else:
+        trace_path = cache_dir / TRACE_FILE_NAME
     previous = obs_module.activate(handle)
     try:
         runner = ExperimentRunner(
@@ -39,17 +51,12 @@ def observed_run(datasets=DATASETS, cache_dir=None) -> Observability:
         runner.sweep_all(datasets)
     finally:
         obs_module.activate(previous)
-    return handle
-
-
-def span_identities(handle: Observability) -> list[tuple]:
-    return sorted(span.identity() for span in handle.trace.spans())
+    return handle, read_trace(trace_path)[handle.trace.run_id]
 
 
 class TestSpanTree:
-    def test_one_sweep_span_per_dataset_with_matcher_children(self):
-        handle = observed_run()
-        spans = handle.trace.spans()
+    def test_one_sweep_span_per_dataset_with_matcher_children(self, tmp_path):
+        __, spans = observed_run(tmp_path)
         sweeps = [span for span in spans if span.name == "sweep"]
         assert sorted(span.attributes["dataset"] for span in sweeps) == sorted(
             DATASETS
@@ -61,26 +68,25 @@ class TestSpanTree:
 
 
 class TestDegradedAndCached:
-    def test_injected_failure_shows_up_in_matcher_spans(self):
+    def test_injected_failure_shows_up_in_matcher_spans(self, tmp_path):
         faults.arm(f"matcher:{FAILING_MATCHER}", "error")
-        handle = observed_run(datasets=(DATASET,))
+        __, spans = observed_run(tmp_path, datasets=(DATASET,))
         failed = [
             span
-            for span in handle.trace.spans()
+            for span in spans
             if span.name == "matcher" and span.status == "failed"
         ]
         assert [span.attributes["matcher"] for span in failed] == [
             FAILING_MATCHER
         ]
-        sweeps = [
-            span for span in handle.trace.spans() if span.name == "sweep"
-        ]
+        sweeps = [span for span in spans if span.name == "sweep"]
         assert [span.status for span in sweeps] == ["degraded"]
 
     def test_cache_hit_resume_emits_sweep_spans(self, tmp_path):
-        observed_run(datasets=(DATASET,), cache_dir=tmp_path)
-        resumed = observed_run(datasets=(DATASET,), cache_dir=tmp_path)
-        spans = resumed.trace.spans()
+        observed_run(tmp_path, datasets=(DATASET,), cache_dir=tmp_path)
+        resumed, spans = observed_run(
+            tmp_path, datasets=(DATASET,), cache_dir=tmp_path
+        )
         (sweep,) = [span for span in spans if span.name == "sweep"]
         assert sweep.attributes == {"dataset": DATASET, "cache": "hit"}
         assert [span for span in spans if span.name == "matcher"] == []
@@ -90,11 +96,14 @@ class TestDegradedAndCached:
 
 class TestTraceFile:
     def test_run_writes_every_span_once(self, tmp_path):
-        from repro.obs import TRACE_FILE_NAME, read_trace
-
-        handle = observed_run(cache_dir=tmp_path)
-        runs = read_trace(tmp_path / TRACE_FILE_NAME)
-        (file_spans,) = runs.values()
-        assert sorted(s.identity() for s in file_spans) == span_identities(
-            handle
+        __, spans = observed_run(tmp_path, cache_dir=tmp_path)
+        ids = [span.span_id for span in spans]
+        assert len(ids) == len(set(ids))
+        by_id = {span.span_id: span for span in spans}
+        # Every span's parent closed after it, so it is in the file too.
+        assert all(
+            span.parent_id is None or span.parent_id in by_id for span in spans
         )
+        names = {span.name for span in spans}
+        assert {"sweep", "matcher", "matchers.dl_fit", "matchers.predict",
+                "text.extract", "runtime.persist"} <= names

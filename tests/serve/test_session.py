@@ -241,6 +241,19 @@ class TestLifecycle:
         for phase in stats["latency"].values():
             assert {"count", "p50", "p99"} <= set(phase)
 
+    def test_extract_latency_is_measured_with_observability_off(
+        self, serve_task
+    ):
+        # The extract phase is the session store's own extraction time,
+        # not the delta of a registry timer that a disabled instance
+        # never moves.
+        with obs_package.use(Observability(enabled=False)):
+            local = open_session(serve_task, k=5)
+            local.query_batch(serve_task.left.records()[:5])
+        extract = local.latency["extract"]
+        assert extract.count == 1
+        assert extract.total > 0.0
+
     def test_closed_session_raises(self, serve_task):
         local = open_session(serve_task, k=3)
         with local:

@@ -43,7 +43,6 @@ class TestPackageSurface:
             "repro.experiments.svg",
             "repro.obs",
             "repro.obs.metrics",
-            "repro.obs.probe",
             "repro.obs.spans",
             "repro.runtime",
             "repro.runtime.registry",
