@@ -240,6 +240,12 @@ def _lsh_candidate_indexes(
 #: :meth:`SmallWorldGraph._entry_points`).
 N_ENTRY_POINTS = 8
 
+#: Nodes appended since the last re-seal of the postings (the tail) are
+#: scored from the row store; past this many, the postings are rebuilt.
+#: Each search reads the whole tail and each re-seal sorts every row, so
+#: the constant trades the one against the other (DESIGN §10).
+RESEAL_TAIL = 128
+
 
 def _grown(buffer: np.ndarray, needed: int) -> np.ndarray:
     """*buffer* copied into a zeroed one of at least *needed* slots.
@@ -263,15 +269,17 @@ class SmallWorldGraph:
     unreachable islands (they can never score above zero).
 
     The structure is inherently incremental — building *is* inserting
-    node by node — so :meth:`add_row` appends a new node in the same
-    O(beam) work as one build step; a graph grown by appends is
+    node by node — so :meth:`add_row` appends a new node with the work
+    of one build step; a graph grown by appends is
     bit-identical to one built from the concatenated row list.
 
     Storage is one flat int64 row buffer (node ``i`` owns
-    ``_flat[_starts[i] : _starts[i] + _sizes[i]]``) grown by doubling. A
-    search writes its query ids once into a vocabulary-sized boolean
-    marker, so scoring a frontier is one gather of the frontier's row
-    ranges plus a prefix sum of ``marker[ids]``. Each edge keeps its
+    ``_flat[_starts[i] : _starts[i] + _sizes[i]]``, and ``_owner`` holds
+    the node of each slot) grown by doubling. Beside it sits an inverted
+    index: id ``d`` is held by the nodes
+    ``_postings[_indptr[d] : _indptr[d + 1]]``, sealed over the rows
+    before ``_sealed_fill``. A search scores the query against every node
+    once, before its beam starts (:meth:`_scores`). Each edge keeps its
     similarity beside ``_neighbors``: cosine of two id sets is symmetric
     bit for bit (an integer intersection over ``sqrt`` of an exact
     integer product), so degree pruning re-sorts cached values instead
@@ -283,12 +291,17 @@ class SmallWorldGraph:
         self.max_degree = max_degree
         self.beam_width = beam_width
         self._flat = np.zeros(1024, dtype=np.int64)
+        self._owner = np.zeros(1024, dtype=np.int64)
         self._fill = 0
         self._starts = np.zeros(64, dtype=np.int64)
         self._sizes = np.zeros(64, dtype=np.int64)
         self._count = 0
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._postings = _EMPTY_INDEX
+        self._sealed = 0
+        self._sealed_fill = 0
         #: ``_marker[i]`` is True while id ``i`` belongs to the query
-        #: being searched; all False between searches.
+        #: being scored; all False between scorings.
         self._marker = np.zeros(64, dtype=bool)
         self._neighbors: list[list[int]] = []
         #: ``_edge_sims[a][j]`` is the cosine of ``a`` and
@@ -307,7 +320,9 @@ class SmallWorldGraph:
         end = self._fill + size
         if end > len(self._flat):
             self._flat = _grown(self._flat, end)
+            self._owner = _grown(self._owner, end)
         self._flat[self._fill : end] = row
+        self._owner[self._fill : end] = node
         self._starts[node] = self._fill
         self._sizes[node] = size
         self._fill = end
@@ -316,6 +331,8 @@ class SmallWorldGraph:
             top = int(row.max())
             if top >= len(self._marker):
                 self._marker = _grown(self._marker, top + 1)
+        if self._count - self._sealed > RESEAL_TAIL:
+            self._seal()
         self._neighbors.append([])
         self._edge_sims.append([])
         self._insert(node)
@@ -328,42 +345,54 @@ class SmallWorldGraph:
         start = int(self._starts[node])
         return self._flat[start : start + int(self._sizes[node])]
 
-    def _mark(self, query: np.ndarray) -> np.ndarray:
-        """Set the marker for *query*'s indexed ids; returns them.
+    def _seal(self) -> None:
+        """Rebuild the postings over every row: one sort of the ids."""
+        fill = self._fill
+        ids = self._flat[:fill]
+        self._postings = self._owner[:fill][np.argsort(ids)]
+        self._indptr = np.zeros(len(self._marker) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(ids, minlength=len(self._marker)),
+            out=self._indptr[1:],
+        )
+        self._sealed = self._count
+        self._sealed_fill = fill
 
-        Ids beyond every indexed row cannot intersect anything and are
-        left out. The caller clears ``_marker`` at the returned ids.
+    def _scores(self, query: np.ndarray, query_size: int) -> list[float]:
+        """Cosine of the query against every node, indexed by node.
+
+        The sealed nodes' intersections come from the postings of the
+        query's ids, the tail's from marking the query and reading the
+        tail rows; one ``bincount`` counts both. Ids beyond every
+        indexed row cannot intersect anything and are left out.
         """
+        count = self._count
+        if query_size == 0:
+            return [0.0] * count
         known = query[query < len(self._marker)]
+        sealed = known[known < len(self._indptr) - 1]
+        lo = self._indptr[sealed]
+        lengths = self._indptr[sealed + 1] - lo
+        ends = lengths.cumsum()
+        positions = (lo - (ends - lengths)).repeat(lengths)
+        positions += np.arange(len(positions), dtype=np.int64)
         self._marker[known] = True
-        return known
-
-    def _sims_to(self, query_size: int, nodes: list[int]) -> np.ndarray:
-        """Cosine of the marked query against each node, in one batched pass."""
-        out = np.zeros(len(nodes), dtype=np.float64)
-        if not nodes or query_size == 0:
-            return out
-        self.sim_evals += len(nodes)
-        index = np.array(nodes, dtype=np.int64)
-        sizes = self._sizes[index]
-        ends = sizes.cumsum()
-        total = int(ends[-1])
-        if total == 0:
-            return out
-        offsets = ends - sizes
-        # Flat positions of the nodes' rows, back to back.
-        positions = (self._starts[index] - offsets).repeat(sizes)
-        positions += np.arange(total, dtype=np.int64)
-        hits = np.zeros(total + 1, dtype=np.int64)
-        self._marker[self._flat[positions]].cumsum(out=hits[1:])
-        inter = hits[ends] - hits[offsets]
+        tail = slice(self._sealed_fill, self._fill)
+        tail_hits = self._owner[tail][self._marker[self._flat[tail]]]
+        self._marker[known] = False
+        inter = np.bincount(
+            np.concatenate((self._postings[positions], tail_hits)),
+            minlength=count,
+        )
+        sizes = self._sizes[:count]
+        sims = np.zeros(count, dtype=np.float64)
         np.divide(
             inter,
             np.sqrt(float(query_size) * sizes),
-            out=out,
+            out=sims,
             where=sizes > 0,
         )
-        return out
+        return sims.tolist()
 
     def _entry_points(self) -> list[int]:
         """Deterministic multi-entry seeds: the entry plus strided probes.
@@ -395,23 +424,14 @@ class SmallWorldGraph:
             return []
         if len(query) == 0:
             query_size = 0  # nothing can intersect: every score is 0
-        known = self._mark(query)
-        try:
-            return self._beam(entries, query_size, beam)
-        finally:
-            self._marker[known] = False
-
-    def _beam(
-        self, entries: list[int], query_size: int, beam: int
-    ) -> list[tuple[float, int]]:
-        entry_sims = self._sims_to(query_size, entries).tolist()
-        visited = set(entries)
+        sims = self._scores(query, query_size)
         # Max-heap of frontier nodes by (-sim, node); min-heap of the
         # best `beam` results by (sim, -node) — both orders break ties
         # by node id, deterministically.
-        frontier = [(-sim, entry) for entry, sim in zip(entries, entry_sims)]
+        visited = set(entries)
+        frontier = [(-sims[entry], entry) for entry in entries]
         heapq.heapify(frontier)
-        results = [(sim, -entry) for entry, sim in zip(entries, entry_sims)]
+        results = [(sims[entry], -entry) for entry in entries]
         heapq.heapify(results)
         while len(results) > beam:
             heapq.heappop(results)
@@ -419,21 +439,18 @@ class SmallWorldGraph:
             negative_sim, node = heapq.heappop(frontier)
             if len(results) >= beam and -negative_sim < results[0][0]:
                 break
-            fresh = [
-                neighbor
-                for neighbor in self._neighbors[node]
-                if neighbor not in visited
-            ]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            sims = self._sims_to(query_size, fresh)
-            for neighbor, sim in zip(fresh, sims.tolist()):
+            for neighbor in self._neighbors[node]:
+                if neighbor in visited:
+                    continue
+                visited.add(neighbor)
+                sim = sims[neighbor]
                 if len(results) < beam or sim > results[0][0]:
                     heapq.heappush(frontier, (-sim, neighbor))
                     heapq.heappush(results, (sim, -neighbor))
                     if len(results) > beam:
                         heapq.heappop(results)
+        if query_size:
+            self.sim_evals += len(visited)
         found = [(sim, -negative_node) for sim, negative_node in results]
         found.sort(key=lambda item: (-item[0], item[1]))
         return found
@@ -527,12 +544,10 @@ class GraphIndex:
 
     def _append(self, records: Sequence, rows: Sequence[np.ndarray]) -> None:
         self.records.extend(records)
-        for row in rows:
-            dense = (
-                np.unique(self._table.intern(row))
-                if len(row)
-                else _EMPTY_INDEX
-            )
+        if not rows:
+            return
+        ids, counts = self._table.intern_rows(rows)
+        for dense in np.split(ids, np.cumsum(counts[:-1])):
             self.graph.add_row(dense)
 
     def insert(self, records: Sequence) -> None:

@@ -38,7 +38,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, wraps
 from pathlib import Path
 
 from repro import obs as obs_module
@@ -91,8 +91,9 @@ class RunnerConfig:
       file location (``None`` disables persistence);
     * ``policy`` — the :class:`ExecutionPolicy` for every expensive unit;
     * ``obs`` — the :class:`~repro.obs.Observability` instance the runner
-      reports spans/metrics to; defaults to the process-wide active one
-      (:func:`repro.obs.active`);
+      reports spans/metrics to, activated around each unit of work so
+      the layers' spans reach it too; defaults to the process-wide
+      active one (:func:`repro.obs.active`);
     * ``breaker_threshold`` — arm per-unit circuit breakers on the
       policy: a unit that fails this many consecutive times
       short-circuits to a ``CircuitOpen`` failure instead of burning its
@@ -163,6 +164,23 @@ class RunnerConfig:
             raise TypeError(
                 f"seed must be an integer, got {type(self.seed).__name__}"
             )
+
+
+def _observed(method):
+    """Run *method* with the runner's own observability instance active.
+
+    Matcher and layer spans go to the active instance, so without this
+    a runner handed an instance that is not active (``RunnerConfig(obs=
+    ...)``) would trace only the spans it opens itself. Nested calls
+    re-activate the same instance; the previous one is restored after.
+    """
+
+    @wraps(method)
+    def wrapper(self, *args, **kwargs):
+        with obs_module.use(self.obs):
+            return method(self, *args, **kwargs)
+
+    return wrapper
 
 
 class ExperimentRunner:
@@ -364,11 +382,13 @@ class ExperimentRunner:
 
     # -- datasets -------------------------------------------------------------
 
+    @_observed
     def established_task(self, dataset_id: str) -> MatchingTask:
         """One of the 13 established benchmarks (registry-cached)."""
         faults.fire(f"dataset:{dataset_id}")
         return load_established_task(dataset_id, self.size_factor)
 
+    @_observed
     def new_benchmark(self, source_id: str) -> NewBenchmark:
         """One of the methodology-built benchmarks D_n1..D_n8."""
         if source_id not in self._new_benchmarks:
@@ -381,6 +401,7 @@ class ExperimentRunner:
             )
         return self._new_benchmarks[source_id]
 
+    @_observed
     def blocking_provenance(self, source_id: str) -> dict[str, object]:
         """Recall/CSSR of each blocking backend on one generated pair.
 
@@ -467,6 +488,7 @@ class ExperimentRunner:
             self._record_journal_divergence(unit_id)
         return None
 
+    @_observed
     def matcher_results(self, dataset_id: str) -> dict[str, MatcherResult]:
         """The full matcher sweep on one dataset (Table IV / VI columns).
 
@@ -606,6 +628,7 @@ class ExperimentRunner:
 
     # -- assessments --------------------------------------------------------------
 
+    @_observed
     def assessment(
         self, dataset_id: str, with_practical: bool = True
     ) -> BenchmarkAssessment:

@@ -601,6 +601,41 @@ class CodeTable:
             positions = np.searchsorted(self._codes, codes)
         return self._ids[positions]
 
+    def intern_rows(
+        self, raw_rows: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, counts)``: each row's sorted distinct dense ids, back to
+        back, and how many each row has.
+
+        The whole batch is mapped at once: one argsort of the
+        concatenated codes yields the batch's distinct codes and each
+        code's rank among them, one :meth:`intern` call gives the
+        distinct codes their dense ids, and one sort of
+        ``row * vocab + id`` keys dedups and orders every row.
+        """
+        n_rows = len(raw_rows)
+        lengths = np.fromiter(
+            (len(row) for row in raw_rows), dtype=np.int64, count=n_rows
+        )
+        if not lengths.any():
+            return _EMPTY_ROW, np.zeros(n_rows, dtype=np.int64)
+        codes = np.concatenate(raw_rows).astype(np.int64, copy=False)
+        # Ranks come from the argsort itself: a searchsorted of the
+        # unsorted codes would be a cache-hostile binary search each.
+        order = np.argsort(codes)
+        ordered = codes[order]
+        first = np.empty(len(ordered), dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        rank = np.empty(len(codes), dtype=np.int64)
+        rank[order] = np.cumsum(first) - 1
+        dense = self.intern(ordered[first])[rank]
+        vocab = len(self)
+        row_of = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
+        keys = _sorted_unique(row_of * vocab + dense)
+        key_rows = keys // vocab
+        return keys - key_rows * vocab, np.bincount(key_rows, minlength=n_rows)
+
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Ids of the codes already interned (unseen codes are dropped)."""
         if len(codes) == 0 or len(self._codes) == 0:
@@ -664,38 +699,12 @@ class IncrementalIncidence:
     def append_rows(self, raw_rows: Sequence[np.ndarray]) -> None:
         """Append one batch of raw code rows (duplicates allowed, any order).
 
-        The whole batch is mapped at once: one argsort of the
-        concatenated codes yields the batch's distinct codes and each
-        code's rank among them, one :meth:`CodeTable.intern` call gives
-        the distinct codes their dense ids, and one sort of
-        ``row * vocab + id`` keys dedups and orders every row.
+        The whole batch is mapped at once by :meth:`CodeTable.intern_rows`.
         """
         n_new = len(raw_rows)
         if n_new == 0:
             return
-        lengths = np.fromiter(
-            (len(row) for row in raw_rows), dtype=np.int64, count=n_new
-        )
-        counts = np.zeros(n_new, dtype=np.int64)
-        ids = _EMPTY_ROW
-        if lengths.any():
-            codes = np.concatenate(raw_rows).astype(np.int64, copy=False)
-            # Ranks come from the argsort itself: a searchsorted of the
-            # unsorted codes would be a cache-hostile binary search each.
-            order = np.argsort(codes)
-            ordered = codes[order]
-            first = np.empty(len(ordered), dtype=bool)
-            first[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-            rank = np.empty(len(codes), dtype=np.int64)
-            rank[order] = np.cumsum(first) - 1
-            dense = self._table.intern(ordered[first])[rank]
-            vocab = len(self._table)
-            row_of = np.repeat(np.arange(n_new, dtype=np.int64), lengths)
-            keys = _sorted_unique(row_of * vocab + dense)
-            key_rows = keys // vocab
-            ids = keys - key_rows * vocab
-            counts = np.bincount(key_rows, minlength=n_new)
+        ids, counts = self._table.intern_rows(raw_rows)
         self._reserve(n_new, len(ids))
         fill = int(self._indptr[self._n_rows])
         self._ids[fill : fill + len(ids)] = ids

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.blocking import (
     provenance_sweep,
     tune_ann,
 )
+from repro.blocking import ann
 from repro.blocking.ann import SmallWorldGraph
 from repro.data.records import RecordStore, Schema
 from repro.datasets.generator import SourcePair, build_task_from_sources
@@ -264,45 +266,38 @@ def _set_cosine(a, b) -> float:
     return len(set(a) & set(b)) / math.sqrt(len(set(a)) * len(set(b)))
 
 
-def _marked_sims(graph, probe: np.ndarray, nodes: list[int]) -> np.ndarray:
-    """``graph._sims_to`` for *probe*, marked the way a search marks it."""
-    known = graph._mark(probe)
-    try:
-        return graph._sims_to(len(probe), nodes)
-    finally:
-        graph._marker[known] = False
-
-
-def _grown_graph(rows) -> SmallWorldGraph:
+def _grown_graph(rows, reseal_tail: int = ann.RESEAL_TAIL) -> SmallWorldGraph:
+    """*rows* inserted one by one, re-sealing past *reseal_tail* tail nodes."""
     graph = SmallWorldGraph(max_degree=3, beam_width=4)
-    for row in rows:
-        graph.add_row(np.array(sorted(row), dtype=np.int64))
+    with mock.patch.object(ann, "RESEAL_TAIL", reseal_tail):
+        for row in rows:
+            graph.add_row(np.array(sorted(row), dtype=np.int64))
     return graph
 
 
-#: Ids 0..30 are indexable; 60..200 lie beyond every indexed row, and
-#: from 64 on also beyond the marker's initial 64 slots.
+#: Ids 0..30 and 63, the last of the marker's initial 64 slots, are
+#: indexable; 60..200 lie beyond every indexed row (but 63), and from 64
+#: on also beyond the marker.
 _ROWS = st.lists(
-    st.frozensets(st.integers(0, 30), max_size=10), min_size=1, max_size=24
+    st.frozensets(st.one_of(st.integers(0, 30), st.just(63)), max_size=10),
+    min_size=1,
+    max_size=24,
 )
 _PROBES = st.frozensets(
     st.one_of(st.integers(0, 30), st.integers(60, 200)), max_size=10
 )
+#: Re-seal thresholds small enough that the generated rows cross them.
+_TAILS = st.integers(0, 6)
 
 
 class TestSmallWorldKernel:
     @settings(max_examples=80, deadline=None)
-    @given(_ROWS, _PROBES)
-    def test_sims_match_set_cosine(self, rows, probe):
-        graph = _grown_graph(rows)
+    @given(_ROWS, _PROBES, _TAILS)
+    def test_sims_match_set_cosine(self, rows, probe, reseal_tail):
+        graph = _grown_graph(rows, reseal_tail)
         probe_ids = np.array(sorted(probe), dtype=np.int64)
-        nodes = list(range(len(rows)))
-        sims = _marked_sims(graph, probe_ids, nodes)
-        assert sims.tolist() == [_set_cosine(probe, row) for row in rows]
-        entries = graph._entry_points()
-        assert _marked_sims(graph, probe_ids, entries).tolist() == [
-            _set_cosine(probe, rows[entry]) for entry in entries
-        ]
+        sims = graph._scores(probe_ids, len(probe))
+        assert sims == [_set_cosine(probe, row) for row in rows]
         assert not graph._marker.any()
         found = graph.search(probe_ids, len(probe), 5)
         assert not graph._marker.any()
@@ -310,9 +305,9 @@ class TestSmallWorldKernel:
             assert sim == _set_cosine(probe, rows[node]) > 0.0
 
     @settings(max_examples=40, deadline=None)
-    @given(_ROWS)
-    def test_cached_edge_sims_are_symmetric_cosines(self, rows):
-        graph = _grown_graph(rows)
+    @given(_ROWS, _TAILS)
+    def test_cached_edge_sims_are_symmetric_cosines(self, rows, reseal_tail):
+        graph = _grown_graph(rows, reseal_tail)
         for node, (neighbors, sims) in enumerate(
             zip(graph._neighbors, graph._edge_sims)
         ):
@@ -328,31 +323,33 @@ class TestSmallWorldKernel:
             [] if node % 2 == 0 else [node, node + 1, node + 2]
             for node in range(16)
         ]
-        graph = _grown_graph(rows)
-        entries = graph._entry_points()
-        assert [node for node in entries if not rows[node]] == list(
-            range(0, 16, 2)
-        )
         probe = np.array([5, 6, 7], dtype=np.int64)
-        sims = _marked_sims(graph, probe, entries)
-        assert sims.tolist() == [
-            _set_cosine(probe.tolist(), rows[node]) for node in entries
-        ]
-        found = graph.search(probe, 3, 4)
-        assert found and all(rows[node] for __, node in found)
-        assert found[0] == (1.0, 5)
+        for reseal_tail in (0, 5, ann.RESEAL_TAIL):
+            graph = _grown_graph(rows, reseal_tail)
+            entries = graph._entry_points()
+            assert [node for node in entries if not rows[node]] == list(
+                range(0, 16, 2)
+            )
+            sims = graph._scores(probe, 3)
+            assert [sims[node] for node in entries] == [
+                _set_cosine(probe.tolist(), rows[node]) for node in entries
+            ]
+            found = graph.search(probe, 3, 4)
+            assert found and all(rows[node] for __, node in found)
+            assert found[0] == (1.0, 5)
 
     def test_probe_without_known_ids_scores_nothing(self):
-        graph = _grown_graph([[0, 1, 2], [1, 2, 3], [2, 3, 4]])
         unknown = np.array([90, 500], dtype=np.int64)
-        assert _marked_sims(graph, unknown, [0, 1, 2]).tolist() == [0.0] * 3
-        assert graph.search(unknown, 2, 3) == []
-        # An empty probe (every code dropped by the index) with a
-        # non-zero query size scores nothing and counts no evaluation.
-        evals = graph.sim_evals
-        assert graph.search(np.empty(0, dtype=np.int64), 4, 3) == []
-        assert graph.sim_evals == evals
-        assert not graph._marker.any()
+        for reseal_tail in (0, 1, ann.RESEAL_TAIL):
+            graph = _grown_graph([[0, 1, 2], [1, 2, 3], [2, 3, 4]], reseal_tail)
+            assert graph._scores(unknown, 2) == [0.0] * 3
+            assert graph.search(unknown, 2, 3) == []
+            # An empty probe (every code dropped by the index) with a
+            # non-zero query size scores nothing and counts no evaluation.
+            evals = graph.sim_evals
+            assert graph.search(np.empty(0, dtype=np.int64), 4, 3) == []
+            assert graph.sim_evals == evals
+            assert not graph._marker.any()
 
     def test_grown_across_buffer_doubling_matches_rebuilt(self, small_sources):
         records = small_sources.right.records()
@@ -371,6 +368,38 @@ class TestSmallWorldKernel:
             for other, sim in zip(neighbors, sims):
                 assert sim == _set_cosine(rows[node], rows[other])
         for probe in small_sources.left.records()[:15]:
+            a, b = grown.search(probe, 5), rebuilt.search(probe, 5)
+            assert (a.ids, a.scores) == (b.ids, b.scores)
+
+    def test_grown_across_reseals_with_searches_matches_rebuilt(
+        self, small_sources
+    ):
+        # Single-record inserts with a search after each cross the
+        # re-seal boundary twice; every score must stay the set cosine
+        # and the final graph must equal one built in one shot.
+        records = small_sources.right.records() + small_sources.left.records()
+        probes = small_sources.left.records()[:15]
+        grown = make_index("graph", records[:10])
+        graph = grown.graph
+        for step, record in enumerate(records[10:]):
+            grown.insert([record])
+            probe, size = grown.map_row(
+                grown._store.rows([probes[step % len(probes)]], grown._view)[0]
+            )
+            rows = [set(graph._row(node).tolist()) for node in range(len(graph))]
+            assert graph._scores(probe, size) == [
+                len(set(probe.tolist()) & row) / math.sqrt(size * len(row))
+                if row
+                else 0.0
+                for row in rows
+            ]
+            for sim, node in graph.search(probe, size, 5):
+                assert sim == graph._scores(probe, size)[node] > 0.0
+        assert 2 * ann.RESEAL_TAIL < graph._sealed < len(graph)
+        rebuilt = make_index("graph", records)
+        assert graph._neighbors == rebuilt.graph._neighbors
+        assert graph._edge_sims == rebuilt.graph._edge_sims
+        for probe in probes:
             a, b = grown.search(probe, 5), rebuilt.search(probe, 5)
             assert (a.ids, a.scores) == (b.ids, b.scores)
 

@@ -107,3 +107,21 @@ class TestTraceFile:
         names = {span.name for span in spans}
         assert {"sweep", "matcher", "matchers.dl_fit", "matchers.predict",
                 "text.extract", "runtime.persist"} <= names
+
+    def test_injected_inactive_handle_receives_the_layer_spans(self, tmp_path):
+        # The runner's own instance, not the active one, must receive
+        # the matcher and layer spans its sweep opens.
+        handle = Observability()
+        bystander = obs_module.active()
+        runner = ExperimentRunner(
+            config=RunnerConfig(scale=SCALE, cache_dir=tmp_path, obs=handle)
+        )
+        runner.sweep_all((DATASET,))
+        assert obs_module.active() is bystander
+        spans = read_trace(tmp_path / TRACE_FILE_NAME)[handle.trace.run_id]
+        names = {span.name for span in spans}
+        assert {"sweep", "matcher", "text.extract"} <= names
+        assert any(
+            name.startswith("matchers.") and name.endswith("_fit")
+            for name in names
+        )
