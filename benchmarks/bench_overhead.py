@@ -1,10 +1,12 @@
 """Healthy-path overhead of the runner's optional layers: ≤2% each.
 
-Times the same fresh, uncached matcher sweep with one layer switched on
-and off, and prints the measurement:
+Times the same fresh matcher sweep with one layer switched on and off,
+and prints the measurement:
 
 * ``obs`` — the active :class:`~repro.obs.Observability` enabled vs
-  disabled (DESIGN.md §8);
+  disabled (DESIGN.md §8). Both sides sweep into a fresh temporary cache
+  directory, so the enabled side pays the ``trace.jsonl`` append of
+  every span and both pay the same envelope and journal writes;
 * ``breakers`` — per-unit circuit breakers attached to the execution
   policy vs none (DESIGN.md §7): one registry lookup plus one success
   record per unit;
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 
 import pytest
@@ -56,13 +59,19 @@ LAYER_OPTIONS = {
 
 
 def _timed(layer: str, on: bool) -> float:
-    """Wall seconds of fresh, uncached sweeps with ``layer`` on or off."""
+    """Wall seconds of fresh sweeps with ``layer`` on or off.
+
+    Only the ``obs`` case gets a cache directory (a new one per sweep).
+    """
     enabled = on or layer != "obs"
-    with obs_module.use(Observability(enabled=enabled)):
+    options = dict(LAYER_OPTIONS[layer]) if on else {}
+    with tempfile.TemporaryDirectory() as cache_dir, obs_module.use(
+        Observability(enabled=enabled)
+    ):
+        if layer == "obs":
+            options["cache_dir"] = cache_dir
         runner = ExperimentRunner(
-            config=RunnerConfig(
-                scale=SCALE, **(LAYER_OPTIONS[layer] if on else {})
-            )
+            config=RunnerConfig(scale=SCALE, **options)
         )
         start = time.perf_counter()
         runner.sweep_all(DATASETS)

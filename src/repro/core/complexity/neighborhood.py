@@ -7,7 +7,6 @@ the Gower distance shared via :class:`ComplexityInputs`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.core.complexity.base import ComplexityInputs
 
@@ -28,6 +27,9 @@ def _nearest_enemy_distance(inputs: ComplexityInputs) -> np.ndarray:
 
 def n1_borderline_fraction(inputs: ComplexityInputs) -> float:
     """Fraction of points on an inter-class edge of the MST."""
+    # Imported here: scipy.sparse.csgraph costs every CLI command ~0.3 s.
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     tree = minimum_spanning_tree(inputs.distances)
     rows, cols = tree.nonzero()
     borderline: set[int] = set()

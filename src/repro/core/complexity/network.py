@@ -15,10 +15,14 @@ as a :mod:`networkx` object for exploratory use.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.complexity.base import ComplexityInputs
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Standard epsilon for the Gower-distance graph (Lorena et al.).
 EPSILON = 0.15
@@ -39,6 +43,8 @@ def build_epsilon_graph(
     inputs: ComplexityInputs, epsilon: float = EPSILON
 ) -> nx.Graph:
     """The pruned epsilon-NN graph as a networkx object."""
+    import networkx as nx  # slow to import; only this helper needs it
+
     adjacency = epsilon_adjacency(inputs, epsilon)
     graph = nx.from_numpy_array(adjacency.astype(np.int8))
     return graph

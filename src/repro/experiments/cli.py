@@ -221,9 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_float,
         default=None,
         metavar="MIB",
-        help="degrade gracefully (smaller kernel batches, feature cache "
-        "off) when RSS passes this budget, then shed units "
-        "as BudgetExceeded",
+        help="shed the next unit as BudgetExceeded once RSS passes "
+        "this budget",
     )
     parser.add_argument(
         "--disk-reserve",
@@ -231,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MIB",
         help="keep at least this much free space on the cache volume: "
-        "preflight + periodic checks degrade and shed before ENOSPC",
+        "preflight warns, periodic checks shed units before ENOSPC",
     )
     parser.add_argument(
         "--adaptive-deadlines",

@@ -48,11 +48,7 @@ from repro import obs
 from repro.runtime import BreakerRegistry, ExecutionPolicy, FailureRecord
 from repro.runtime import faults
 from repro.runtime.guard import AdaptiveDeadlineModel, ResourceGuard
-from repro.runtime.registry import (  # re-exported for back-compat
-    clear_recorded_failures,
-    record_failure,
-    recorded_failures,
-)
+from repro.runtime.registry import record_failure
 from repro.text.feature_store import store_for_task
 
 #: Default epoch budget per DL method (the "(n)" of the paper's tables).
@@ -170,7 +166,8 @@ def evaluate_suite(
     aborting the sweep: the analogue of the paper's "insufficient memory"
     hyphens, but with the cause preserved as a :class:`FailureRecord`
     appended to *failures* (or, when no caller list is given, to the
-    process-wide registry behind :func:`recorded_failures`).
+    process-wide registry behind
+    :func:`repro.runtime.registry.recorded_failures`).
 
     *breakers* (or a registry already on *policy*) arms per-unit circuit
     breakers: a ``(dataset, matcher)`` unit that has failed K consecutive
@@ -217,9 +214,8 @@ def evaluate_suite(
                 failures.append(outcome.failure)
             else:
                 # Fallback: the process-wide registry in
-                # :mod:`repro.runtime.registry` (its lifecycle —
-                # ``clear_recorded_failures`` — lives there too; the names
-                # stay importable from this module for back-compat).
+                # :mod:`repro.runtime.registry`, which also owns its
+                # lifecycle (``clear_recorded_failures``).
                 record_failure(outcome.failure)
     return results
 

@@ -36,7 +36,6 @@ import logging
 import math
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial, wraps
 from pathlib import Path
@@ -73,7 +72,6 @@ from repro.runtime import (
 )
 from repro.runtime.guard import AdaptiveDeadlineModel, LeaseHeld, ResourceGuard
 from repro.runtime.state import RUNNER_STATE, CommitFailed, StateDir
-from repro.text.feature_store import FeatureMatrixCache, feature_cache_scope
 
 logger = logging.getLogger("repro.experiments.runner")
 
@@ -98,17 +96,13 @@ class RunnerConfig:
       policy: a unit that fails this many consecutive times
       short-circuits to a ``CircuitOpen`` failure instead of burning its
       retry budget (``None`` disables; ignored when the policy already
-      carries a registry);
-    * ``feature_cache`` — persist content-addressed feature matrices
-      under ``<cache_dir>/features`` so repeated sweeps skip extraction;
-      a no-op without ``cache_dir``.
+      carries a registry).
 
     Resource supervision (see :mod:`repro.runtime.guard`):
 
     * ``memory_budget_mb`` / ``disk_reserve_mb`` — arm the
-      :class:`ResourceGuard`: past the budget the runner degrades
-      gracefully (smaller kernel batches, feature cache off) before
-      shedding units as ``BudgetExceeded`` failures;
+      :class:`ResourceGuard`: a checkpoint past the budget sheds its
+      unit as a ``BudgetExceeded`` failure;
     * ``adaptive_deadlines`` — learn per-phase deadlines from healthy
       durations (p99 × margin) instead of one fixed ``--timeout``;
     * ``lease_timeout_seconds`` — how long a write-bearing unit waits
@@ -123,7 +117,6 @@ class RunnerConfig:
     policy: ExecutionPolicy | None = None
     obs: Observability | None = None
     breaker_threshold: int | None = None
-    feature_cache: bool = True
     memory_budget_mb: float | None = None
     disk_reserve_mb: float | None = None
     adaptive_deadlines: bool = False
@@ -243,18 +236,8 @@ class ExperimentRunner:
             if self.cache_dir is not None
             else None
         )
-        # Content-addressed feature matrices live next to the sweep
-        # envelopes; the cache is activated *scoped* around each heavy
-        # unit (never installed globally at construction), so tests never
-        # leak one into each other.
-        self.feature_cache: FeatureMatrixCache | None = (
-            FeatureMatrixCache(self.cache_dir / "features")
-            if self.cache_dir is not None and self.config.feature_cache
-            else None
-        )
-        # Resource budgets: RSS + cache-volume free space with graceful
-        # degradation; preflight warns (and pre-degrades for disk) before
-        # any unit runs.
+        # Resource budgets: RSS + cache-volume free space; preflight
+        # warns before any unit runs, and a pressured checkpoint sheds.
         self.guard: ResourceGuard | None = None
         if (
             self.config.memory_budget_mb is not None
@@ -371,15 +354,6 @@ class ExperimentRunner:
             )
         )
 
-    def _feature_scope(self):
-        """Activate the runner's feature cache for one unit of work.
-
-        With no cache configured the ambient state is left untouched.
-        """
-        if self.feature_cache is None:
-            return nullcontext()
-        return feature_cache_scope(self.feature_cache)
-
     # -- datasets -------------------------------------------------------------
 
     @_observed
@@ -416,10 +390,9 @@ class ExperimentRunner:
             faults.fire(f"blocking:{source_id}")
             sources = load_source_pair(source_id, self.size_factor)
             with self.obs.span("blocking_provenance", dataset=source_id):
-                with self._feature_scope():
-                    self._ann_provenance[source_id] = provenance_sweep(
-                        sources, seed=self.seed
-                    )
+                self._ann_provenance[source_id] = provenance_sweep(
+                    sources, seed=self.seed
+                )
         return self._ann_provenance[source_id]
 
     def task_for(self, dataset_id: str) -> MatchingTask:
@@ -555,10 +528,9 @@ class ExperimentRunner:
                         sweep_policy, deadline_seconds=learned
                     )
             started = time.perf_counter()
-            with self._feature_scope():
-                outcome = sweep_policy.execute(
-                    sweep, unit_id=unit_id, phase="sweep"
-                )
+            outcome = sweep_policy.execute(
+                sweep, unit_id=unit_id, phase="sweep"
+            )
             if outcome.ok:
                 results = outcome.value
                 if self.deadlines is not None:
@@ -680,10 +652,9 @@ class ExperimentRunner:
             if self.journal is not None and self.journal.is_done(assess_unit):
                 self._record_journal_divergence(assess_unit)
             with self.obs.span("assessment", dataset=dataset_id):
-                with self._feature_scope():
-                    computed = assess_benchmark(
-                        self.task_for(dataset_id), practical=None
-                    )
+                computed = assess_benchmark(
+                    self.task_for(dataset_id), practical=None
+                )
             if held:
                 self._store_assessment(dataset_id, computed)
             return computed

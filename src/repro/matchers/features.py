@@ -14,8 +14,8 @@ Two families of feature vectors:
 All features live in [0, 1]. Matrix extraction runs on the vectorized
 kernels of :mod:`repro.text.kernels` through the task's shared
 :class:`~repro.text.feature_store.FeatureStore` (tokenize/q-gram every
-record once, batch the set measures, consult the content-addressed disk
-cache when one is active); the per-pair ``features(pair)`` path keeps its
+record once, batch the set measures, reuse a memoized prefix of the
+pair list); the per-pair ``features(pair)`` path keeps its
 private caches and stays byte-identical to the matrix path — it is the
 oracle the parity tests compare against. Each matrix or column request
 runs inside a ``text.extract`` span.
@@ -95,10 +95,6 @@ class EsdeFeatureExtractor:
             sentence_embedder_for_task(task) if variant in ("SAS", "SBS") else None
         )
         self._store = store_for_task(task)
-        # Embedding features depend on the task's fitted vocabulary, which
-        # record content alone does not address — keep them out of the
-        # content-addressed disk cache.
-        self._cacheable = variant not in ("SAS", "SBS")
         self.feature_names = self._build_feature_names()
 
     def _build_feature_names(self) -> tuple[str, ...]:
@@ -323,7 +319,6 @@ class EsdeFeatureExtractor:
                 pairs=pair_list,
                 names=self.feature_names,
                 compute=lambda: self._compute_matrix(pair_list),
-                cacheable=self._cacheable,
                 compute_pairs=lambda subset: self._compute_matrix(list(subset)),
             )
 
@@ -341,7 +336,6 @@ class EsdeFeatureExtractor:
                 pairs=pair_list,
                 names=(name,),
                 compute=lambda: self._compute_column(pair_list, index),
-                cacheable=self._cacheable,
                 compute_pairs=lambda subset: self._compute_column(
                     list(subset), index
                 ),

@@ -211,8 +211,8 @@ class TraceCollector:
         """Merge *attributes* into the innermost open span of this context.
 
         Lets deep layers (the resource guard above all) stamp state onto
-        the unit span that is running them — e.g. which degradation level
-        a sweep ran under — without threading the span object through
+        the unit span that is running them — e.g. which budget shed a
+        unit — without threading the span object through
         every call. Returns False when no span is open (annotations are
         best-effort, never an error).
         """

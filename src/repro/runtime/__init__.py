@@ -34,7 +34,8 @@ pieces the experiment layer builds on:
   leases, state-directory trust and pairing, torn journal tails).
 * :mod:`repro.runtime.guard` — resource-aware supervision:
   :class:`AdaptiveDeadlineModel` per-phase deadlines, the
-  :class:`ResourceGuard` memory/disk budget ladder, and the
+  :class:`ResourceGuard` memory/disk budgets that shed a pressured
+  unit as ``BudgetExceeded``, and the
   :class:`RunLease` cache-directory lock with stale-lease takeover.
 
 Every unit runs in the calling process, one after another: there is no
@@ -73,7 +74,6 @@ from repro.runtime.guard import (
     RunLease,
     audit_lease,
     pid_alive,
-    reset_global_degradations,
 )
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.policy import (
@@ -120,7 +120,6 @@ __all__ = [
     "read_envelope",
     "record_failure",
     "recorded_failures",
-    "reset_global_degradations",
     "run_doctor",
     "write_envelope",
 ]

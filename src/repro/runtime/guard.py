@@ -9,19 +9,17 @@ directory. This module gives the runner the primitives to survive them:
   unit durations (p99 × margin, clamped to a floor/ceiling), replacing a
   single fixed ``--timeout``. Deterministic: the deadline for a phase is
   a pure function of the observed-duration history.
-* :class:`ResourceGuard` — in-process RSS + disk-space monitoring with a
-  two-rung graceful-degradation ladder: shrink the kernel batch size,
-  then disable the feature cache, and only then shed the unit as
-  :class:`BudgetExceeded`. Every step emits a ``guard.*`` metric and
-  annotates the active trace span.
+* :class:`ResourceGuard` — in-process RSS + disk-space monitoring: a
+  checkpoint under pressure sheds its unit as :class:`BudgetExceeded`
+  (``guard.units_shed``) at once, since no cheaper relief measurably
+  lowered peak RSS or disk use (DESIGN.md §7).
 * :class:`RunLease` — an owner-pid/heartbeat lock file on the cache
   directory so two concurrent runs cannot interleave journal or cache
   writes. Stale leases (dead pid, silent heartbeat) are taken over;
   the doctor repairs orphaned ones.
 
-Everything here is stdlib-only at import time; the degradation ladder
-lazy-imports the text layer inside its actions, keeping
-:mod:`repro.runtime` importable without numpy.
+Everything here is stdlib-only, keeping :mod:`repro.runtime` importable
+without numpy.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ DEFAULT_STALE_AFTER = 30.0
 
 
 class BudgetExceeded(RuntimeError):
-    """A resource budget (memory, disk) was exhausted after degradation.
+    """A resource budget (memory, disk) was exhausted at a checkpoint.
 
     A :class:`RuntimeError` subclass so the runner's default
     ``MATCHER_ERRORS`` retry/record machinery treats it as unit data, not
@@ -186,62 +184,20 @@ class AdaptiveDeadlineModel:
 
 
 # ---------------------------------------------------------------------------
-# Degradation ladder + resource guard
+# Resource guard
 # ---------------------------------------------------------------------------
 
 
-def _degrade_shrink_batch() -> None:
-    from repro.text import kernels
-
-    current = kernels.batch_limit()
-    kernels.set_batch_limit(256 if current is None else max(32, current // 4))
-
-
-def _degrade_disable_feature_cache() -> None:
-    from repro.text import feature_store
-
-    feature_store.set_cache_disabled(True)
-
-
-#: The graceful-degradation ladder, cheapest relief first. Each entry is
-#: (name, action); actions mutate text-layer globals and are undone by
-#: :func:`reset_global_degradations`.
-_LADDER: tuple[tuple[str, Callable[[], None]], ...] = (
-    ("shrink-kernel-batch", _degrade_shrink_batch),
-    ("disable-feature-cache", _degrade_disable_feature_cache),
-)
-
-#: Ladder index of the disk-relevant step (smaller batches do nothing for
-#: a full volume; only the cache writes do).
-_DISK_STEP = 1
-
-
-def reset_global_degradations() -> None:
-    """Undo every ladder action (test/chaos hygiene).
-
-    Imports lazily and tolerates an absent text layer so the runtime
-    package stays usable standalone.
-    """
-    try:
-        from repro.text import feature_store, kernels
-    except Exception:  # pragma: no cover - text layer unavailable
-        return
-    kernels.set_batch_limit(None)
-    feature_store.set_cache_disabled(False)
-
-
 class ResourceGuard:
-    """In-process memory/disk budget enforcement with graceful degradation.
+    """In-process memory/disk budget enforcement.
 
-    The runner calls :meth:`checkpoint` between units (and matchers). When
-    RSS exceeds ``memory_budget_mb`` the guard applies ONE ladder step per
-    checkpoint — giving the allocator a unit's worth of time to benefit —
-    and, once the ladder is exhausted, sheds the unit by raising
-    :class:`BudgetExceeded`. Disk pressure skips straight to the only step
-    that helps (disabling cache writes) before shedding. Real resource
-    reads are rate-limited to ``min_check_interval`` seconds; the chaos
-    sites ``guard:oom`` and ``io:enospc`` are probed on every call so
-    injected pressure is deterministic.
+    The runner calls :meth:`checkpoint` between units (and matchers).
+    When RSS exceeds ``memory_budget_mb``, or the cache volume's free
+    space falls below ``disk_reserve_mb``, the checkpoint sheds the unit
+    by raising :class:`BudgetExceeded`. Real resource reads are
+    rate-limited to ``min_check_interval`` seconds; the fault site
+    ``guard:oom`` is probed on every call so injected pressure is
+    deterministic.
     """
 
     def __init__(
@@ -263,8 +219,6 @@ class ResourceGuard:
         self._disk_free_fn = disk_free_fn or disk_free_mb
         self._clock = clock
         self._last_check = float("-inf")
-        self._level = 0
-        self._applied: list[str] = []
 
     @property
     def enabled(self) -> bool:
@@ -272,53 +226,13 @@ class ResourceGuard:
             self.disk_reserve_mb is not None and self.cache_dir is not None
         )
 
-    @property
-    def degradation_level(self) -> int:
-        return self._level
-
-    @property
-    def degradations(self) -> tuple[str, ...]:
-        return tuple(self._applied)
-
     def preflight(self) -> list[str]:
         """Check budgets before any work; returns human-readable warnings."""
-        warnings: list[str] = []
-        if self.disk_reserve_mb is not None and self.cache_dir is not None:
-            free = self._disk_free_fn(self.cache_dir)
-            if free is not None:
-                obs.gauge("guard.disk_free_mb", free)
-                if free < self.disk_reserve_mb:
-                    warnings.append(
-                        f"cache volume has {free:.0f} MiB free, below the "
-                        f"{self.disk_reserve_mb:.0f} MiB reserve; disabling "
-                        f"the feature cache"
-                    )
-                    self._apply_step(_DISK_STEP, reason="disk-preflight")
-        if self.memory_budget_mb is not None:
-            rss = self._rss_fn()
-            if rss is not None:
-                obs.gauge("guard.rss_mb", rss)
-                if rss > self.memory_budget_mb:
-                    warnings.append(
-                        f"RSS {rss:.0f} MiB already over the "
-                        f"{self.memory_budget_mb:.0f} MiB budget at startup"
-                    )
-        return warnings
-
-    def _apply_step(self, index: int, *, reason: str) -> str:
-        """Apply ladder step ``index`` (and everything below it) once."""
-        target = min(index + 1, len(_LADDER))
-        applied = "none"
-        while self._level < target:
-            name, action = _LADDER[self._level]
-            action()
-            self._level += 1
-            self._applied.append(name)
-            applied = name
-            obs.inc("guard.degradations")
-            obs.gauge("guard.degrade_level", float(self._level))
-            obs.annotate(guard_degraded=name, guard_reason=reason)
-        return applied
+        return [
+            f"{reason} at startup"
+            for hit, reason in (self._disk_pressure(), self._memory_pressure())
+            if hit
+        ]
 
     def _disk_pressure(self) -> tuple[bool, str]:
         if self.disk_reserve_mb is None or self.cache_dir is None:
@@ -329,62 +243,55 @@ class ResourceGuard:
         obs.gauge("guard.disk_free_mb", free)
         if free < self.disk_reserve_mb:
             return True, (
-                f"{free:.0f} MiB free below reserve {self.disk_reserve_mb:.0f} MiB"
+                f"cache volume has {free:.0f} MiB free, below the "
+                f"{self.disk_reserve_mb:.0f} MiB reserve"
+            )
+        return False, ""
+
+    def _memory_pressure(self) -> tuple[bool, str]:
+        if self.memory_budget_mb is None:
+            return False, ""
+        rss = self._rss_fn()
+        if rss is None:
+            return False, ""
+        obs.gauge("guard.rss_mb", rss)
+        if rss > self.memory_budget_mb:
+            return True, (
+                f"RSS {rss:.0f} MiB over budget {self.memory_budget_mb:.0f} MiB"
             )
         return False, ""
 
     def checkpoint(self, unit_id: str = "") -> None:
         """Enforce budgets between units; raise ``BudgetExceeded`` to shed.
 
-        One ladder step per pressured checkpoint. The injected chaos sites
-        are probed every call; real ``/proc`` and ``statvfs`` reads only
-        every ``min_check_interval`` seconds.
+        The injected fault site is probed every call; real ``/proc`` and
+        ``statvfs`` reads only every ``min_check_interval`` seconds.
         """
         injected = faults.triggered("guard:oom")
         now = self._clock()
         due = now - self._last_check >= self.min_check_interval
         if not injected and not due:
             return
-        memory_hit, memory_reason = False, ""
-        disk_hit, disk_reason = False, ""
+        pressure: tuple[str, str] | None = None
         if injected:
-            memory_hit, memory_reason = True, "injected guard:oom"
+            pressure = ("memory", "injected guard:oom")
         if due:
             self._last_check = now
-            if not memory_hit and self.memory_budget_mb is not None:
-                rss = self._rss_fn()
-                if rss is not None:
-                    obs.gauge("guard.rss_mb", rss)
-                    if rss > self.memory_budget_mb:
-                        memory_hit = True
-                        memory_reason = (
-                            f"RSS {rss:.0f} MiB over budget "
-                            f"{self.memory_budget_mb:.0f} MiB"
-                        )
             disk_hit, disk_reason = self._disk_pressure()
-        if disk_hit:
-            if self._level >= len(_LADDER):
-                obs.inc("guard.units_shed")
-                raise BudgetExceeded(
-                    f"disk budget exhausted for {unit_id or 'unit'}: {disk_reason}"
-                )
-            step = self._apply_step(_DISK_STEP, reason=disk_reason)
-            obs.annotate(guard_unit=unit_id)
-            if step == "none" and self._level >= len(_LADDER):
-                obs.inc("guard.units_shed")
-                raise BudgetExceeded(
-                    f"disk budget exhausted for {unit_id or 'unit'}: {disk_reason}"
-                )
+            if disk_hit:
+                pressure = ("disk", disk_reason)
+            elif pressure is None:
+                memory_hit, memory_reason = self._memory_pressure()
+                if memory_hit:
+                    pressure = ("memory", memory_reason)
+        if pressure is None:
             return
-        if memory_hit:
-            if self._level >= len(_LADDER):
-                obs.inc("guard.units_shed")
-                raise BudgetExceeded(
-                    f"memory budget exhausted for {unit_id or 'unit'}: "
-                    f"{memory_reason}"
-                )
-            self._apply_step(self._level, reason=memory_reason)
-            obs.annotate(guard_unit=unit_id)
+        resource, reason = pressure
+        obs.inc("guard.units_shed")
+        obs.annotate(guard_unit=unit_id, guard_reason=reason)
+        raise BudgetExceeded(
+            f"{resource} budget exhausted for {unit_id or 'unit'}: {reason}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -629,5 +536,4 @@ __all__ = [
     "disk_free_mb",
     "pid_alive",
     "read_rss_mb",
-    "reset_global_degradations",
 ]

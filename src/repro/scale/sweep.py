@@ -27,9 +27,9 @@ through the full pipeline without ever materializing the dataset:
    and are deliberately out of scope — documented in DESIGN.md §13.
 
 Between phases the shared :class:`~repro.runtime.guard.ResourceGuard`
-enforces ``--memory-budget`` / ``--disk-reserve``: degradation first
-(smaller kernel batches, feature cache off), then a
-``BudgetExceeded`` abort at a shard boundary — never a silent OOM kill.
+enforces ``--memory-budget`` / ``--disk-reserve``: a pressured
+checkpoint aborts with ``BudgetExceeded`` at a shard boundary — never a
+silent OOM kill.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ append-only :class:`~repro.text.feature_store.FeatureStore` resident in one
   candidate pairs;
 * :meth:`MatcherSession.save` / :meth:`MatcherSession.load` snapshot a
   session onto the checksummed cache-envelope format;
-* :func:`repro.serve.loop.serve_loop` (``python -m repro serve``) wraps a
+* :class:`repro.serve.loop.ServeLoop` (``python -m repro serve``) wraps a
   session in a JSONL request loop with per-phase latency histograms and
   graceful drain on SIGTERM;
 * :class:`repro.serve.frontend.SocketFrontend` (``--listen HOST:PORT`` /

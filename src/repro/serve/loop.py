@@ -299,21 +299,3 @@ class ServeLoop:
         self.release_state()
         self.session.close()
         return 0
-
-
-def serve_loop(
-    session: MatcherSession,
-    input_stream: IO[str] | None = None,
-    output_stream: IO[str] | None = None,
-    *,
-    state_dir: Path | str | None = None,
-    snapshot_every: int = 0,
-    install_signals: bool = True,
-) -> int:
-    """Convenience wrapper: build a :class:`ServeLoop` and run it."""
-    loop = ServeLoop(
-        session, state_dir=state_dir, snapshot_every=snapshot_every
-    )
-    return loop.run(
-        input_stream, output_stream, install_signals=install_signals
-    )

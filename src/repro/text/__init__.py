@@ -12,14 +12,7 @@ append-only :class:`IncrementalIncidence`, and pair intersections are an
 exact int64 merge over it.
 """
 
-from repro.text.feature_store import (
-    FeatureMatrixCache,
-    FeatureStore,
-    active_feature_cache,
-    feature_cache_scope,
-    set_feature_cache,
-    store_for_task,
-)
+from repro.text.feature_store import FeatureStore, store_for_task
 from repro.text.kernels import (
     KERNEL_VERSION,
     SET_MEASURES,
@@ -65,7 +58,6 @@ __all__ = [
     "STOPWORDS",
     "CharTable",
     "EMPTY_SIGNATURE",
-    "FeatureMatrixCache",
     "FeatureStore",
     "IncrementalIncidence",
     "PackedRows",
@@ -74,15 +66,12 @@ __all__ = [
     "TfIdfVectorizer",
     "TokenInterner",
     "Vocabulary",
-    "active_feature_cache",
     "band_keys",
     "batch_intersection_counts",
     "clean_tokens",
-    "feature_cache_scope",
     "gather_csr",
     "minhash_params",
     "minhash_signatures",
-    "set_feature_cache",
     "set_similarity_matrix_indexed",
     "store_for_task",
     "cosine_similarity",

@@ -1,4 +1,4 @@
-"""Per-task feature store + content-addressed feature-matrix cache.
+"""Per-task feature store with an in-memory prefix memo.
 
 One :class:`FeatureStore` per :class:`~repro.data.task.MatchingTask`
 (via :func:`store_for_task`) tokenizes and q-grams every record exactly
@@ -14,17 +14,12 @@ records, offline and in a serving session alike: records seen for the
 first time append as a batch, and only a q-gram codec overflow (which
 re-interns the view) starts the structure afresh.
 
-On top sits an optional **content-addressed disk cache**
-(:class:`FeatureMatrixCache`) reusing the PR-1 atomic checksummed cache
-envelopes: the key digests the extractor spec, :data:`~repro.text.kernels
-.KERNEL_VERSION`, the feature names and the full content of every record
-of every pair (in pair order), so repeated sweeps skip extraction
-entirely, and any change to a record, the pair order, the schema or the
-kernel semantics misses cleanly. Floats round-trip through
-JSON via ``repr`` exactly, so a cache hit reproduces the matrix **byte
-for byte**. Cache failures are strictly best-effort: corrupt envelopes
-are quarantined and recomputed, failed writes are dropped — only
-``features.cache_*`` metrics record them, never a ``FailureRecord``.
+Above the rows sits an in-memory **prefix memo**: the last matrix per
+``(spec, names)``, keyed by a digest chain over the content of every
+record of every pair, so an extended pair list (the add-then-query
+shape of ``repro.serve``) computes only its suffix rows. Nothing is
+written to disk: an on-disk matrix cache spent more on JSON encoding
+than its hits saved, so each run extracts its features afresh.
 
 Every matrix request (memoized or not) increments ``features.requests``
 / ``features.pairs`` and feeds the ``features.extract_seconds`` timer;
@@ -39,20 +34,10 @@ import hashlib
 import time
 import weakref
 from collections.abc import Callable, Iterable, Sequence
-from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from repro import obs
-from repro.runtime.cache import (
-    CacheError,
-    quarantine,
-    read_envelope,
-    write_envelope,
-)
 from repro.text.kernels import (
     KERNEL_VERSION,
     SET_MEASURES,
@@ -67,122 +52,6 @@ from repro.text.kernels import (
 #: A view names one way of reducing a record to a feature set:
 #: ``("tokens", attribute_or_None)`` or ``("qgrams", attribute_or_None, q)``.
 View = tuple
-
-
-@dataclass(frozen=True)
-class FeatureMatrixCache:
-    """Content-addressed feature matrices in checksummed envelopes.
-
-    One JSON envelope per (spec, pair-content) digest under *directory*;
-    safe for concurrent writers (atomic replace; identical content maps
-    to identical files).
-    """
-
-    directory: Path
-
-    def path_for(self, digest: str) -> Path:
-        return Path(self.directory) / f"features_{digest}.json"
-
-    def load(self, digest: str, names: Sequence[str]) -> np.ndarray | None:
-        """The cached matrix for *digest*, or ``None`` on any miss."""
-        path = self.path_for(digest)
-        if not path.exists():
-            obs.inc("features.cache_miss")
-            return None
-        try:
-            payload = read_envelope(path)
-        except CacheError:
-            quarantine(path)
-            obs.inc("features.cache_quarantined")
-            return None
-        except Exception:
-            # e.g. an injected cache:read error fault — a plain miss.
-            obs.inc("features.cache_miss")
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("kernel_version") != KERNEL_VERSION
-            or payload.get("names") != list(names)
-        ):
-            obs.inc("features.cache_miss")
-            return None
-        matrix = np.asarray(payload["matrix"], dtype=np.float64)
-        matrix = matrix.reshape(tuple(payload["shape"]))
-        obs.inc("features.cache_hit")
-        return matrix
-
-    def store(
-        self,
-        digest: str,
-        spec: str,
-        names: Sequence[str],
-        matrix: np.ndarray,
-    ) -> None:
-        """Best-effort envelope write; failures only count a metric."""
-        payload = {
-            "spec": spec,
-            "kernel_version": KERNEL_VERSION,
-            "names": list(names),
-            "shape": list(matrix.shape),
-            "matrix": matrix.tolist(),
-        }
-        try:
-            write_envelope(self.path_for(digest), payload)
-        except Exception:
-            obs.inc("features.cache_write_failed")
-            return
-        obs.inc("features.cache_write")
-
-
-_active_cache: FeatureMatrixCache | None = None
-
-# Set by the resource guard's degradation ladder: under disk pressure the
-# cache's envelope writes are the one knob worth turning off, and under
-# memory pressure its in-process reads stop pinning decoded matrices.
-_cache_disabled = False
-
-
-def set_cache_disabled(disabled: bool) -> None:
-    """Force :func:`active_feature_cache` to ``None`` without uninstalling."""
-    global _cache_disabled
-    _cache_disabled = bool(disabled)
-
-
-def cache_disabled() -> bool:
-    return _cache_disabled
-
-
-def active_feature_cache() -> FeatureMatrixCache | None:
-    """The process-wide cache extractors consult (``None`` = disabled)."""
-    if _cache_disabled:
-        return None
-    return _active_cache
-
-
-def set_feature_cache(
-    cache: FeatureMatrixCache | None,
-) -> FeatureMatrixCache | None:
-    """Install *cache* as the active one; returns the previous."""
-    global _active_cache
-    previous = _active_cache
-    _active_cache = cache
-    return previous
-
-
-@contextmanager
-def feature_cache_scope(
-    cache: FeatureMatrixCache | None,
-) -> Iterator[FeatureMatrixCache | None]:
-    """Activate *cache* for a ``with`` block, then restore the previous.
-
-    The runner wraps each unit of work in a scope, so unrelated code (and
-    later tests in the same process) never see a stale cache.
-    """
-    previous = set_feature_cache(cache)
-    try:
-        yield cache
-    finally:
-        set_feature_cache(previous)
 
 
 class FeatureStore:
@@ -219,7 +88,7 @@ class FeatureStore:
         # Last matrix per (spec, names): (n_pairs, chain digest at
         # n_pairs, matrix). A request whose pair-list prefix chains to
         # the same digest reuses those rows and computes only the
-        # suffix — the append-friendly tier under the exact disk cache.
+        # suffix.
         self._matrix_memo: dict[
             tuple[str, tuple[str, ...]], tuple[int, bytes, np.ndarray]
         ] = {}
@@ -479,8 +348,8 @@ class FeatureStore:
         pair's record digests are absorbed into the running 16-byte
         state — so the chain value after ``n`` pairs is itself the full
         digest of the length-``n`` prefix. That is what makes appends
-        cache-friendly: an extended pair list reproduces its prefix's
-        chain value exactly, and :meth:`matrix` can prove an in-memory
+        memo-friendly: an extended pair list reproduces its prefix's
+        chain value exactly, and :meth:`matrix` can prove its memoized
         matrix still covers ``pairs[:n]`` without comparing records.
         """
         header = "\x1f".join((f"kernel{KERNEL_VERSION}", spec, *names))
@@ -495,13 +364,6 @@ class FeatureStore:
                 at_checkpoint = chain
         return at_checkpoint, chain
 
-    def matrix_digest(
-        self, spec: str, names: Sequence[str], pairs: Sequence
-    ) -> str:
-        """The content-addressed cache key for one matrix request."""
-        __, chain = self._digest_chain(spec, names, pairs, 0)
-        return chain.hex()
-
     # -- the extraction boundary -------------------------------------------
 
     def matrix(
@@ -510,47 +372,34 @@ class FeatureStore:
         pairs: Sequence,
         names: Sequence[str],
         compute: Callable[[], np.ndarray],
-        cacheable: bool = True,
         compute_pairs: Callable[[Sequence], np.ndarray] | None = None,
     ) -> np.ndarray:
-        """One feature-matrix request: disk cache, prefix memo, *compute*.
+        """One feature-matrix request: prefix memo, else *compute*.
 
         With *compute_pairs* (a partial extractor able to compute any
-        pair subset) the store also keeps the last matrix per
-        ``(spec, names)`` in memory keyed by its digest chain: when a
-        new request's pair list *starts with* the memoized pairs — the
+        pair subset) the store keeps the last matrix per ``(spec,
+        names)`` in memory keyed by its digest chain: when a new
+        request's pair list *starts with* the memoized pairs — the
         ``add_records``-then-query shape of ``repro.serve`` — only the
         suffix rows are computed (``features.prefix_hits`` /
-        ``features.prefix_reused_pairs``). The exact disk cache sits in
-        front and still serves byte-identical full hits.
-
-        Emits the request-level ``features.*`` metrics regardless of
-        where the matrix came from, so counters are identical whether or
-        not the cache hit.
+        ``features.prefix_reused_pairs``).
         """
         started = time.perf_counter()
         obs.inc("features.requests")
         obs.inc("features.pairs", float(len(pairs)))
 
-        cache = active_feature_cache() if cacheable else None
-        memo_key = (spec, tuple(names))
-        memo = self._matrix_memo.get(memo_key) if compute_pairs else None
         matrix = None
-        digest = None
-        chain = b""
-        if cache is not None or compute_pairs is not None:
+        if compute_pairs is not None:
+            memo_key = (spec, tuple(names))
+            memo = self._matrix_memo.get(memo_key)
             checkpoint = 0
             if memo is not None and memo[0] <= len(pairs):
                 checkpoint = memo[0]
             prefix_chain, chain = self._digest_chain(
                 spec, names, pairs, checkpoint
             )
-            digest = chain.hex()
-            if cache is not None:
-                matrix = cache.load(digest, names)
             if (
-                matrix is None
-                and memo is not None
+                memo is not None
                 and memo[0] <= len(pairs)
                 and memo[1] == prefix_chain
             ):
@@ -565,12 +414,8 @@ class FeatureStore:
                     if suffix
                     else reused
                 )
-                if cache is not None:
-                    cache.store(digest, spec, names, matrix)
         if matrix is None:
             matrix = compute()
-            if cache is not None and digest is not None:
-                cache.store(digest, spec, names, matrix)
         if compute_pairs is not None:
             self._matrix_memo[memo_key] = (len(pairs), chain, matrix)
 

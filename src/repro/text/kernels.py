@@ -47,8 +47,8 @@ import numpy as np
 
 from repro import obs
 
-#: Version of the kernel semantics; folded into every content-addressed
-#: feature-cache key so changing a formula invalidates cached matrices.
+#: Version of the kernel semantics; folded into the feature store's memo
+#: digest chain so changing a formula invalidates memoized matrices.
 KERNEL_VERSION = 1
 
 #: Canonical order of the set-measure trio used by the ESDE extractors
@@ -430,27 +430,6 @@ def band_keys(signatures: np.ndarray, bands: int) -> np.ndarray:
     return folded
 
 
-# -- resource-guard degradation hook ----------------------------------------
-#
-# The guard's ladder (repro.runtime.guard) trades speed for memory under
-# RSS pressure: capping the per-call pair batch bounds the temporaries of
-# a kernel pass. Rows are independent, so the cap never changes results.
-
-_BATCH_LIMIT: int | None = None
-
-
-def set_batch_limit(limit: int | None) -> None:
-    """Cap pairs per internal kernel pass (``None`` = unlimited)."""
-    global _BATCH_LIMIT
-    if limit is not None and limit < 1:
-        raise ValueError(f"batch limit must be >= 1, got {limit}")
-    _BATCH_LIMIT = limit
-
-
-def batch_limit() -> int | None:
-    return _BATCH_LIMIT
-
-
 # -- measure kernels ---------------------------------------------------------
 #
 # Each kernel mirrors its scalar twin in repro.text.similarity exactly:
@@ -529,20 +508,13 @@ def set_similarity_matrix_indexed(
     started = time.perf_counter()
     n_pairs = len(left_index)
     matrix = np.empty((n_pairs, len(kernels)), dtype=np.float64)
-    # Under a guard-imposed batch limit the pass is chunked to bound the
-    # intersection temporaries; rows are independent, so the output is
-    # identical and the call still counts as one kernel batch.
-    step = n_pairs if _BATCH_LIMIT is None else max(1, _BATCH_LIMIT)
-    row_sizes = incidence.row_sizes
-    for begin in range(0, n_pairs, step) if n_pairs else ():
-        end = min(begin + step, n_pairs)
-        chunk_left = left_index[begin:end]
-        chunk_right = right_index[begin:end]
-        inter = incidence.intersections(chunk_left, chunk_right)
-        size_left = row_sizes[chunk_left]
-        size_right = row_sizes[chunk_right]
+    if n_pairs:
+        inter = incidence.intersections(left_index, right_index)
+        row_sizes = incidence.row_sizes
+        size_left = row_sizes[left_index]
+        size_right = row_sizes[right_index]
         for column, kernel in enumerate(kernels):
-            matrix[begin:end, column] = kernel(inter, size_left, size_right)
+            matrix[:, column] = kernel(inter, size_left, size_right)
     elapsed = time.perf_counter() - started
 
     obs.inc("kernel.batches")

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.cli import main
 
 
@@ -21,6 +27,43 @@ class TestCli:
     def test_audit_requires_dataset(self, capsys):
         assert main(["audit"]) == 2
         assert "requires a dataset" in capsys.readouterr().out
+
+    def test_startup_skips_the_complexity_only_imports(self):
+        # networkx and scipy.sparse.csgraph cost every command ~0.5 s at
+        # start-up; only the complexity measures use them, so they are
+        # imported inside the functions that do.
+        code = (
+            "import sys, repro.experiments.cli; "
+            "print(sorted({'networkx', 'scipy.sparse.csgraph'} "
+            "& set(sys.modules)))"
+        )
+        path = [str(Path(repro.__file__).resolve().parents[1])]
+        path.append(os.environ.get("PYTHONPATH", ""))
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
+
+    def test_cold_audit_writes_no_feature_matrices(self, capsys, tmp_path):
+        assert main(
+            ["audit", "Ds5", "--scale", "0.3", "--cache", str(tmp_path)]
+        ) == 0
+        capsys.readouterr()
+        left = sorted(path.name for path in tmp_path.iterdir())
+        assert "features" not in left
+        assert "checkpoint.journal" in left and "trace.jsonl" in left
+        assert any(name.startswith("suite_") for name in left)
+        assert any(name.startswith("apriori_") for name in left)
+        assert all(
+            name in ("checkpoint.journal", "trace.jsonl")
+            or name.startswith(("suite_", "apriori_"))
+            for name in left
+        ), left
 
     def test_scale_up_small_run_and_resume(self, capsys, tmp_path):
         args = [

@@ -4,7 +4,8 @@ The guard layer's end-to-end contracts, driven through the real runner:
 two concurrent runners (threads or processes) on one cache directory
 never interleave (the loser either waits and reuses the winner's
 results, or fails cleanly with a ``LeaseHeld`` record); injected memory
-pressure walks the degradation ladder without changing a single score.
+pressure sheds units as ``BudgetExceeded`` failures without changing the
+score of any unit it did not shed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ import time
 import pytest
 
 from repro.experiments.runner import ExperimentRunner, RunnerConfig
-from repro.runtime import faults, guard
+from repro.experiments.snapshot import (
+    count_unexplained_degradations,
+    sweep_state,
+)
+from repro.runtime import faults
 from repro.runtime.guard import LEASE_NAME, RunLease
 from repro.runtime.journal import CheckpointJournal
 
@@ -27,10 +32,8 @@ DATASET = "Ds5"
 @pytest.fixture(autouse=True)
 def clean_state():
     faults.reset()
-    guard.reset_global_degradations()
     yield
     faults.reset()
-    guard.reset_global_degradations()
 
 
 def make_runner(cache_dir=None, **overrides) -> ExperimentRunner:
@@ -51,17 +54,29 @@ def scores(results) -> dict[str, tuple[float, float, float, bool]]:
 @pytest.mark.fault_smoke
 class TestBudgetDegradation:
     def test_injected_oom_degrades_without_changing_scores(self):
+        # A shed unit is a degraded cell with a BudgetExceeded record;
+        # every cell that ran keeps the unguarded run's exact score.
         reference = scores(make_runner().matcher_results(DATASET))
-        faults.arm("guard:oom", "error", times=2)
-        guarded = make_runner(memory_budget_mb=1_000_000.0)
-        observed = guarded.matcher_results(DATASET)
-        assert scores(observed) == reference
-        assert guarded.guard is not None
-        assert guarded.guard.degradation_level == 2
-        assert guarded.guard.degradations == (
-            "shrink-kernel-batch",
-            "disable-feature-cache",
+        # Seeded pressure on a fifth of the checkpoints: seed 0 spares
+        # the sweep's own checkpoint and hits two matcher checkpoints.
+        faults.arm(
+            "guard:oom", "error", times=None, probability=0.2, seed=0
         )
+        guarded = make_runner(memory_budget_mb=1_000_000.0)
+        observed = scores(guarded.matcher_results(DATASET))
+        faults.reset()
+        failures = guarded.failure_records()
+        assert failures
+        assert {f.exception_type for f in failures} == {"BudgetExceeded"}
+        shed = {f.unit_id.split("/", 1)[1] for f in failures}
+        assert set(observed) == set(reference)
+        assert {name for name, cell in observed.items() if cell[3]} == shed
+        assert len(shed) == 2
+        for name, cell in observed.items():
+            if name not in shed:
+                assert cell == reference[name]
+        state = sweep_state(guarded, (DATASET,))
+        assert count_unexplained_degradations(state, failures) == 0
 
 
 class TestConcurrentRunners:

@@ -6,19 +6,17 @@ import pytest
 
 from repro.experiments.matcher_suite import (
     build_suite,
-    clear_recorded_failures,
     degraded_result,
     evaluate_suite,
     family_of,
     linear_f1_scores,
     non_linear_f1_scores,
     practical_from_results,
-    recorded_failures,
 )
 from repro.experiments.report import render
 from repro.experiments.runner import ExperimentRunner, RunnerConfig
 from repro.matchers.base import MatcherResult
-from repro.runtime import faults
+from repro.runtime import clear_recorded_failures, faults, recorded_failures
 
 
 class TestFamilyOf:

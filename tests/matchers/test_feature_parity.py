@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core.linearity import DEGENERATE_THRESHOLD, pair_similarities
 from repro.data.pairs import LabeledPairSet, RecordPair
 from repro.data.records import RecordStore, Schema
@@ -21,12 +20,7 @@ from repro.matchers.features import (
     EsdeFeatureExtractor,
     MagellanFeatureExtractor,
 )
-from repro.obs import Observability
-from repro.text.feature_store import (
-    FeatureMatrixCache,
-    feature_cache_scope,
-    store_for_task,
-)
+from repro.text.feature_store import store_for_task
 from repro.text.similarity import (
     cosine_similarity,
     jaccard_similarity,
@@ -106,20 +100,6 @@ class TestEsdeParity:
         for split in (task.training, task.validation, task.testing):
             matrix = extractor.feature_matrix(split)
             assert np.array_equal(matrix, _oracle(extractor, split))
-
-    def test_cache_hit_is_byte_identical(self, handmade_task, tmp_path):
-        split = handmade_task.training
-        with obs.use(Observability()), feature_cache_scope(
-            FeatureMatrixCache(tmp_path)
-        ):
-            first = EsdeFeatureExtractor("SAQ", handmade_task).feature_matrix(
-                split
-            )
-            second = EsdeFeatureExtractor("SAQ", handmade_task).feature_matrix(
-                split
-            )
-            assert obs.counter("features.cache_hit") == 1
-        assert first.tobytes() == second.tobytes()
 
 
 class TestEsdeDegenerateFold:

@@ -31,7 +31,6 @@ from repro.experiments.snapshot import (
     sweep_state,
 )
 from repro.runtime import BreakerRegistry, ExecutionPolicy, faults
-from repro.runtime.guard import reset_global_degradations
 
 DATASETS = ("Ds5",)
 
@@ -45,8 +44,8 @@ SITES = (
     ("cache:torn-write", "torn", 1, 1.0),
     ("journal:append", "torn", 1, 1.0),
     ("io:write", "error", 1, 1.0),
-    # Supervision: memory pressure walking the degradation ladder, a full
-    # disk mid-envelope and a competing (dead-owner) lease on the dir.
+    # Supervision: memory pressure shedding units, a full disk
+    # mid-envelope and a competing (dead-owner) lease on the dir.
     ("guard:oom", "error", 2, 1.0),
     ("io:enospc", "error", 1, 1.0),
     ("lease:steal", "error", 1, 1.0),
@@ -208,7 +207,6 @@ def _assert_faulted_sweeps_reach_the_baseline(armed, fault_seed, workdir):
         resumed, _ = _sweep(workdir, **options)
     finally:
         faults.reset()
-        reset_global_degradations()
     assert diff_sweep_states(baseline, first) == []
     assert diff_sweep_states(baseline, resumed) == []
     # Only the first sweep records failures: the second loads degraded

@@ -7,7 +7,9 @@ import os
 
 import pytest
 
-from repro.runtime import faults, guard
+from repro import obs
+from repro.obs import Observability
+from repro.runtime import faults
 from repro.runtime.cache import atomic_writer, read_envelope, write_envelope
 from repro.runtime.guard import (
     LEASE_NAME,
@@ -21,13 +23,6 @@ from repro.runtime.guard import (
     pid_alive,
 )
 from repro.runtime.journal import CheckpointJournal
-
-
-@pytest.fixture(autouse=True)
-def clean_degradations():
-    guard.reset_global_degradations()
-    yield
-    guard.reset_global_degradations()
 
 
 class FakeClock:
@@ -109,9 +104,7 @@ class TestResourceGuard:
         assert not unguarded.enabled
         unguarded.checkpoint("u")  # no budget, no probes -> no-op
 
-    def test_memory_pressure_walks_the_ladder_then_sheds(self):
-        from repro.text import feature_store, kernels
-
+    def test_memory_pressure_sheds_at_the_first_checkpoint(self):
         clock = FakeClock()
         monitored = ResourceGuard(
             memory_budget_mb=100.0,
@@ -119,22 +112,14 @@ class TestResourceGuard:
             rss_fn=lambda: 500.0,
             clock=clock,
         )
-        # One ladder step per pressured checkpoint, cheapest first.
-        for expected_level in (1, 2):
-            clock.advance(2.0)
-            monitored.checkpoint("u")
-            assert monitored.degradation_level == expected_level
-        assert kernels.batch_limit() == 256
-        assert feature_store.cache_disabled()
-        clock.advance(2.0)
-        with pytest.raises(BudgetExceeded, match="memory budget"):
-            monitored.checkpoint("u")
-        assert monitored.degradations == (
-            "shrink-kernel-batch",
-            "disable-feature-cache",
-        )
+        with obs.use(Observability()):
+            for _ in range(2):
+                clock.advance(2.0)
+                with pytest.raises(BudgetExceeded, match="memory budget"):
+                    monitored.checkpoint("u")
+            assert obs.counter("guard.units_shed") == 2
 
-    def test_recovered_memory_stops_the_ladder(self):
+    def test_recovered_memory_stops_shedding(self):
         rss = {"value": 500.0}
         clock = FakeClock()
         monitored = ResourceGuard(
@@ -143,12 +128,11 @@ class TestResourceGuard:
             clock=clock,
         )
         clock.advance(2.0)
-        monitored.checkpoint("u")
-        assert monitored.degradation_level == 1
-        rss["value"] = 50.0  # the shrink paid off
+        with pytest.raises(BudgetExceeded):
+            monitored.checkpoint("u")
+        rss["value"] = 50.0
         clock.advance(2.0)
         monitored.checkpoint("u")
-        assert monitored.degradation_level == 1
 
     def test_checks_are_rate_limited(self):
         calls = {"n": 0}
@@ -167,9 +151,7 @@ class TestResourceGuard:
             monitored.checkpoint("u")
         assert calls["n"] == 1
 
-    def test_disk_pressure_skips_to_cache_step(self, tmp_path):
-        from repro.text import feature_store
-
+    def test_disk_pressure_sheds_at_the_first_checkpoint(self, tmp_path):
         clock = FakeClock()
         monitored = ResourceGuard(
             disk_reserve_mb=100.0,
@@ -178,43 +160,33 @@ class TestResourceGuard:
             clock=clock,
         )
         clock.advance(2.0)
-        monitored.checkpoint("u")
-        assert feature_store.cache_disabled()
-        assert monitored.degradation_level == 2
-        clock.advance(2.0)
         with pytest.raises(BudgetExceeded, match="disk budget"):
             monitored.checkpoint("u")
 
-    def test_disk_preflight_warns_and_degrades(self, tmp_path):
-        from repro.text import feature_store
-
+    def test_disk_preflight_only_warns(self, tmp_path):
+        clock = FakeClock()
+        free = {"value": 10.0}
         monitored = ResourceGuard(
             disk_reserve_mb=100.0,
             cache_dir=tmp_path,
-            disk_free_fn=lambda path: 10.0,
+            disk_free_fn=lambda path: free["value"],
+            clock=clock,
         )
         warnings = monitored.preflight()
         assert any("below" in text for text in warnings)
-        assert feature_store.cache_disabled()
+        # The warning changed nothing: with space back, units run.
+        free["value"] = 1000.0
+        clock.advance(2.0)
+        monitored.checkpoint("u")
 
     def test_injected_oom_is_probed_every_call(self):
         faults.arm("guard:oom", "error", times=2)
         clock = FakeClock()  # never advances: real checks never become due
         monitored = ResourceGuard(memory_budget_mb=1e6, clock=clock)
-        monitored.checkpoint("u")
-        monitored.checkpoint("u")
-        assert monitored.degradation_level == 2
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match="injected guard:oom"):
+                monitored.checkpoint("u")
         monitored.checkpoint("u")  # fault budget exhausted -> healthy again
-        assert monitored.degradation_level == 2
-
-    def test_reset_global_degradations(self):
-        from repro.text import feature_store, kernels
-
-        kernels.set_batch_limit(64)
-        feature_store.set_cache_disabled(True)
-        guard.reset_global_degradations()
-        assert kernels.batch_limit() is None
-        assert not feature_store.cache_disabled()
 
 
 class TestDiskFullMapping:

@@ -1,4 +1,4 @@
-"""FeatureStore: encode-once views, batched similarities, disk cache."""
+"""FeatureStore: encode-once views, batched similarities, prefix memo."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import pytest
 from repro import obs
 from repro.data.pairs import RecordPair
 from repro.obs import Observability
-from repro.text.feature_store import (
-    FeatureMatrixCache,
-    FeatureStore,
-    active_feature_cache,
-    feature_cache_scope,
-    set_feature_cache,
-    store_for_task,
-)
+from repro.text.feature_store import FeatureStore, store_for_task
 from repro.text.similarity import (
     cosine_similarity,
     dice_similarity,
@@ -130,100 +123,59 @@ class TestDigests:
         )
         assert one != other
 
+    @staticmethod
+    def _request(store, spec, names, pairs, computed):
+        """One memoized matrix request; logs each computed pair count."""
+
+        def compute_pairs(subset):
+            computed.append(len(subset))
+            return store.set_similarities(list(subset), ("tokens", None))
+
+        return store.matrix(
+            spec,
+            pairs,
+            names,
+            lambda: compute_pairs(pairs),
+            compute_pairs=compute_pairs,
+        )
+
     def test_matrix_digest_sensitive_to_spec_names_and_order(self):
         store = FeatureStore()
         pairs = _pairs()
-        base = store.matrix_digest("esde:SA", ["f0"], pairs)
-        assert base == store.matrix_digest("esde:SA", ["f0"], pairs)
-        assert base != store.matrix_digest("esde:SB", ["f0"], pairs)
-        assert base != store.matrix_digest("esde:SA", ["f1"], pairs)
-        assert base != store.matrix_digest(
-            "esde:SA", ["f0"], list(reversed(pairs))
-        )
+        names = ["cs", "ds", "js"]
+        computed: list[int] = []
+        with obs.use(Observability()):
+            base = self._request(store, "esde:SA", names, pairs, computed)
+            for spec, other_names, order in (
+                ("esde:SB", names, pairs),
+                ("esde:SA", ["a", "b", "c"], pairs),
+                ("esde:SA", names, list(reversed(pairs))),
+            ):
+                self._request(store, spec, other_names, order, computed)
+            # None of the three reused a row: each computed every pair.
+            assert obs.counter("features.prefix_hits") == 0
+            assert computed == [len(pairs)] * 4
+            # The memo now holds the reversed order; the original order
+            # chains to another digest and is computed afresh.
+            again = self._request(store, "esde:SA", names, pairs, computed)
+            assert obs.counter("features.prefix_hits") == 0
+        assert computed == [len(pairs)] * 5
+        assert again.tobytes() == base.tobytes()
 
-
-class TestDiskCache:
-    def test_round_trip_is_byte_identical(self, tmp_path):
-        cache = FeatureMatrixCache(tmp_path)
+    def test_extended_pair_list_reuses_the_memoized_prefix(self):
         store = FeatureStore()
         pairs = _pairs()
-        compute_calls = []
-
-        def compute():
-            compute_calls.append(1)
-            return store.set_similarities(pairs, ("tokens", None))
-
-        with obs.use(Observability()), feature_cache_scope(cache):
-            first = store.matrix("spec", pairs, ["a", "b", "c"], compute)
-            assert obs.counter("features.cache_miss") == 1
-            assert obs.counter("features.cache_write") == 1
-            second = store.matrix("spec", pairs, ["a", "b", "c"], compute)
-            assert obs.counter("features.cache_hit") == 1
+        names = ["cs", "ds", "js"]
+        computed: list[int] = []
+        with obs.use(Observability()):
+            self._request(store, "esde:SA", names, pairs[:4], computed)
+            grown = self._request(store, "esde:SA", names, pairs, computed)
+            assert obs.counter("features.prefix_hits") == 1
+            assert obs.counter("features.prefix_reused_pairs") == 4
             assert obs.counter("features.requests") == 2
-            assert obs.counter("features.pairs") == 2 * len(pairs)
-        assert len(compute_calls) == 1
-        assert first.tobytes() == second.tobytes()
-
-    def test_corrupt_envelope_quarantined_and_recomputed(self, tmp_path):
-        cache = FeatureMatrixCache(tmp_path)
-        store = FeatureStore()
-        pairs = _pairs()
-        compute = lambda: store.set_similarities(pairs, ("tokens", None))
-        with obs.use(Observability()), feature_cache_scope(cache):
-            first = store.matrix("spec", pairs, ["a", "b", "c"], compute)
-            digest = store.matrix_digest("spec", ["a", "b", "c"], pairs)
-            cache.path_for(digest).write_text("{corrupt", encoding="utf-8")
-            second = store.matrix("spec", pairs, ["a", "b", "c"], compute)
-            assert obs.counter("features.cache_quarantined") == 1
-            # The recompute re-stored a fresh envelope; it loads cleanly.
-            assert obs.counter("features.cache_write") == 2
-            reloaded = cache.load(digest, ["a", "b", "c"])
-        assert np.array_equal(first, second)
-        assert reloaded is not None and np.array_equal(reloaded, first)
-
-    def test_stale_kernel_version_misses(self, tmp_path):
-        from repro.runtime.cache import read_envelope, write_envelope
-
-        cache = FeatureMatrixCache(tmp_path)
-        store = FeatureStore()
-        pairs = _pairs()
-        names = ["a", "b", "c"]
-        compute = lambda: store.set_similarities(pairs, ("tokens", None))
-        with feature_cache_scope(cache):
-            store.matrix("spec", pairs, names, compute)
-        digest = store.matrix_digest("spec", names, pairs)
-        path = cache.path_for(digest)
-        payload = read_envelope(path)
-        payload["kernel_version"] = -1
-        write_envelope(path, payload)
-        with obs.use(Observability()):
-            assert cache.load(digest, names) is None
-            assert obs.counter("features.cache_miss") == 1
-            assert obs.counter("features.cache_quarantined") == 0
-        # Wrong names on an otherwise valid envelope also miss.
-        payload["kernel_version"] = 1
-        write_envelope(path, payload)
-        with obs.use(Observability()):
-            assert cache.load(digest, ["other"]) is None
-
-    def test_uncacheable_requests_skip_the_cache(self, tmp_path):
-        cache = FeatureMatrixCache(tmp_path)
-        store = FeatureStore()
-        pairs = _pairs()
-        compute = lambda: store.set_similarities(pairs, ("tokens", None))
-        with feature_cache_scope(cache):
-            store.matrix("spec", pairs, ["a", "b", "c"], compute, cacheable=False)
-        assert not list(tmp_path.iterdir())
-
-    def test_scope_restores_previous_cache(self, tmp_path):
-        outer = FeatureMatrixCache(tmp_path)
-        previous = set_feature_cache(outer)
-        try:
-            with feature_cache_scope(None):
-                assert active_feature_cache() is None
-            assert active_feature_cache() is outer
-        finally:
-            set_feature_cache(previous)
+        assert computed == [4, len(pairs) - 4]
+        fresh = self._request(FeatureStore(), "esde:SA", names, pairs, [])
+        assert grown.tobytes() == fresh.tobytes()
 
 
 class TestStoreForTask:
