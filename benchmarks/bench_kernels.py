@@ -1,4 +1,4 @@
-"""Vectorized feature-kernel speedup: end-to-end ESDE extraction, ≥5x.
+"""Vectorized feature-kernel speedups: ESDE extraction ≥5x, Magellan ≥3x.
 
 Times the full feature-extraction flow of one ESDE experiment on an
 established dataset — fit extraction over the training and validation
@@ -19,7 +19,15 @@ Both paths must produce bit-identical features (asserted here, and more
 exhaustively in ``tests/matchers/test_feature_parity.py``). DESIGN.md §9
 budgets the vectorized flow at a ≥5x speedup for the q-gram profiles
 (SAQ/SBQ); the assertion applies to the best rep of each side,
-interleaved to absorb machine drift. The measured record is printed::
+interleaved to absorb machine drift.
+
+The Magellan case times the full Magellan battery over the dataset's
+training, validation and testing splits: the scalar oracle (a fresh
+extractor's ``features(pair)`` loop: per-pair set measures and the
+pure-Python Levenshtein / Jaro-Winkler / Monge-Elkan tail) against a
+fresh extractor's batched ``feature_matrix`` (set-measure kernels plus
+the batched edit kernels). It asserts bit-identity and a ≥3x floor on the
+best rep of each side. The measured records are printed::
 
     PYTHONPATH=src python -m pytest -q -s benchmarks/bench_kernels.py
 """
@@ -35,7 +43,7 @@ import numpy as np
 from repro.data.pairs import LabeledPairSet, RecordPair
 from repro.data.task import MatchingTask
 from repro.datasets import load_established_task
-from repro.matchers.features import EsdeFeatureExtractor
+from repro.matchers.features import EsdeFeatureExtractor, MagellanFeatureExtractor
 
 DATASET = "Ds2"
 VARIANTS = ("SAQ", "SBQ")
@@ -45,6 +53,7 @@ CANDIDATES_PER_LEFT = 25
 PREDICT_COLUMN = 5
 REPS = 2
 SPEEDUP_FLOOR = 5.0
+MAGELLAN_SPEEDUP_FLOOR = 3.0
 
 
 def _candidate_pairs(base: MatchingTask, seed: int = 0) -> LabeledPairSet:
@@ -148,3 +157,55 @@ def test_kernel_speedup():
             f"{variant}: speedup {result['speedup']}x is below the "
             f"{SPEEDUP_FLOOR}x floor"
         )
+
+
+def _magellan_flow(base, batched):
+    """(seconds, matrices) for one fresh Magellan extractor over all splits."""
+    extractor = MagellanFeatureExtractor(base.attributes)
+    splits = (base.training, base.validation, base.testing)
+    start = time.perf_counter()
+    if batched:
+        matrices = [extractor.feature_matrix(split) for split in splits]
+    else:
+        matrices = [
+            np.vstack([extractor.features(pair) for pair in split.pairs])
+            for split in splits
+        ]
+    return time.perf_counter() - start, matrices
+
+
+def test_magellan_speedup():
+    base = load_established_task(DATASET)
+    _magellan_flow(base, batched=True)  # warm-up
+    scalar_seconds = float("inf")
+    vector_seconds = float("inf")
+    parity = True
+    for __ in range(REPS):
+        elapsed, scalar_out = _magellan_flow(base, batched=False)
+        scalar_seconds = min(scalar_seconds, elapsed)
+        elapsed, vector_out = _magellan_flow(base, batched=True)
+        vector_seconds = min(vector_seconds, elapsed)
+        parity = parity and all(
+            np.array_equal(scalar_block, vector_block)
+            for scalar_block, vector_block in zip(scalar_out, vector_out)
+        )
+    speedup = scalar_seconds / vector_seconds
+    record = {
+        "dataset": DATASET,
+        "extractor": "magellan",
+        "pairs": len(base.training) + len(base.validation) + len(base.testing),
+        "reps": REPS,
+        "cpu_count": os.cpu_count(),
+        "scalar_seconds": round(scalar_seconds, 4),
+        "vector_seconds": round(vector_seconds, 4),
+        "speedup": round(speedup, 2),
+        "speedup_floor": MAGELLAN_SPEEDUP_FLOOR,
+        "bit_identical": parity,
+    }
+    print()
+    print(json.dumps(record, indent=2))
+    assert parity, "batched Magellan features differ from the scalar oracle"
+    assert speedup >= MAGELLAN_SPEEDUP_FLOOR, (
+        f"Magellan speedup {speedup:.2f}x is below the "
+        f"{MAGELLAN_SPEEDUP_FLOOR}x floor"
+    )

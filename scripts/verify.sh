@@ -75,7 +75,7 @@ python -m repro doctor --check --cache "$GUARD_CACHE"
 
 echo "== vectorized-kernel parity (golden oracle) =="
 python -m pytest -x -q tests/text/test_kernels.py tests/text/test_feature_store.py \
-    tests/matchers/test_feature_parity.py
+    tests/text/test_edit_kernels.py tests/matchers/test_feature_parity.py
 
 echo "== repository benchmark: harness tests + all three workloads =="
 # Each workload checks its own outputs: audit-cold the paper's verdicts
@@ -108,7 +108,7 @@ EOF
 echo "== overhead benches: observability, breakers, supervision (<=2%) =="
 python -m pytest -x -q -s benchmarks/bench_overhead.py
 
-echo "== feature-kernel speedup bench (>=5x, bit-identical) =="
+echo "== feature-kernel speedup bench (ESDE >=5x, Magellan >=3x, bit-identical) =="
 python -m pytest -x -q -s benchmarks/bench_kernels.py
 
 echo "== ANN blocking: deterministic-seed smoke + recall/cost floors =="

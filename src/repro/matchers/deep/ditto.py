@@ -27,9 +27,11 @@ from repro.embeddings.contextual import ContextualEmbedder
 from repro.embeddings.distances import cosine_vector_similarity
 from repro.embeddings.provider import contextual_embedder_for_task
 from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
-from repro.matchers.deep.lexical import LexicalEvidence
+from repro.matchers.deep.lexical import (
+    LexicalEvidence,
+    lexical_evidence_for_task,
+)
 from repro.text.tokenize import tokenize
-from repro.text.vectorize import TfIdfVectorizer
 
 _NUMBER_CHARS = set("0123456789")
 
@@ -66,29 +68,24 @@ class DittoNet(DeepMatcherBase):
         self.max_tokens = max_tokens
         self.augment_copies = augment_copies
         self._embedder: ContextualEmbedder | None = None
-        self._vectorizer: TfIdfVectorizer | None = None
         self._record_cache: dict[str, np.ndarray] = {}
         self._numeric_cache: dict[str, set[str]] = {}
         self._lexical: LexicalEvidence | None = None
 
     def _prepare(self, task: MatchingTask) -> None:
         self._embedder = contextual_embedder_for_task(task, variant="R")
-        corpus = [
-            tokenize(record.full_text())
-            for record in list(task.left) + list(task.right)
-        ]
-        corpus = [tokens for tokens in corpus if tokens]
-        self._vectorizer = TfIdfVectorizer().fit(corpus)
-        self._lexical = LexicalEvidence(self._vectorizer)
+        self._lexical = lexical_evidence_for_task(task)
         self._record_cache = {}
         self._numeric_cache = {}
 
     def _record_vector(self, record: Record) -> np.ndarray:
-        assert self._embedder is not None and self._vectorizer is not None
+        assert self._embedder is not None and self._lexical is not None
         cached = self._record_cache.get(record.record_id)
         if cached is None:
             tokens = tokenize(record.full_text())
-            summarized = self._vectorizer.summarize(tokens, self.max_tokens)
+            summarized = self._lexical.vectorizer.summarize(
+                tokens, self.max_tokens
+            )
             cached = self._embedder.embed_sequence(summarized)
             self._record_cache[record.record_id] = cached
         return cached

@@ -21,9 +21,10 @@ from repro.embeddings.contextual import ContextualEmbedder
 from repro.embeddings.distances import cosine_vector_similarity
 from repro.embeddings.provider import contextual_embedder_for_task
 from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
-from repro.matchers.deep.lexical import LexicalEvidence
-from repro.text.tokenize import tokenize
-from repro.text.vectorize import TfIdfVectorizer
+from repro.matchers.deep.lexical import (
+    LexicalEvidence,
+    lexical_evidence_for_task,
+)
 
 
 class EMTransformerNet(DeepMatcherBase):
@@ -52,12 +53,7 @@ class EMTransformerNet(DeepMatcherBase):
     def _prepare(self, task: MatchingTask) -> None:
         self._embedder = contextual_embedder_for_task(task, variant=self.variant)
         self._record_cache = {}
-        corpus = [
-            tokenize(record.full_text())
-            for record in list(task.left) + list(task.right)
-        ]
-        corpus = [tokens for tokens in corpus if tokens]
-        self._lexical = LexicalEvidence(TfIdfVectorizer().fit(corpus))
+        self._lexical = lexical_evidence_for_task(task)
 
     def _record_vector(self, record) -> np.ndarray:
         assert self._embedder is not None

@@ -22,6 +22,7 @@ from repro.data.task import MatchingTask
 from repro.embeddings.provider import static_embedder_for_task
 from repro.embeddings.static import StaticEmbedder
 from repro.matchers.deep.base import DeepMatcherBase, TrainingRun
+from repro.matchers.deep.lexical import lexical_evidence_for_task
 from repro.text.tokenize import tokenize
 from repro.text.vectorize import TfIdfVectorizer
 
@@ -46,12 +47,7 @@ class HierMatcherNet(DeepMatcherBase):
     def _prepare(self, task: MatchingTask) -> None:
         self._embedder = static_embedder_for_task(task)
         self._attributes = task.attributes
-        corpus = [
-            tokenize(record.full_text())
-            for record in list(task.left) + list(task.right)
-        ]
-        corpus = [tokens for tokens in corpus if tokens]
-        self._vectorizer = TfIdfVectorizer().fit(corpus)
+        self._vectorizer = lexical_evidence_for_task(task).vectorizer
         self._token_matrix_cache = {}
 
     def _record_tokens_matrix(

@@ -14,11 +14,13 @@ Two families of feature vectors:
 All features live in [0, 1]. Matrix extraction runs on the vectorized
 kernels of :mod:`repro.text.kernels` through the task's shared
 :class:`~repro.text.feature_store.FeatureStore` (tokenize/q-gram every
-record once, batch the set measures, reuse a memoized prefix of the
-pair list); the per-pair ``features(pair)`` path keeps its
-private caches and stays byte-identical to the matrix path — it is the
-oracle the parity tests compare against. Each matrix or column request
-runs inside a ``text.extract`` span.
+record once, batch the set measures and Magellan's edit measures, reuse
+a memoized prefix of the pair list); the per-pair ``features(pair)``
+path runs the scalar functions of :mod:`repro.text.similarity` and
+stays byte-identical to the matrix path — it is the oracle the parity
+tests compare against (for Magellan, on a fresh extractor: both paths
+memoize into the same edit cache). Each matrix or column request runs
+inside a ``text.extract`` span.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ from repro.embeddings.distances import (
 )
 from repro.embeddings.provider import sentence_embedder_for_task
 from repro.text.feature_store import FeatureStore, store_for_task
-from repro.text.kernels import SET_MEASURES
+from repro.text.kernels import (
+    SET_MEASURES,
+    jaro_winkler_similarities,
+    levenshtein_similarities,
+    monge_elkan_similarities,
+)
 from repro.text.similarity import (
     cosine_similarity,
     dice_similarity,
@@ -347,12 +354,17 @@ class MagellanFeatureExtractor:
     """Magellan-style automatic feature extraction, cached per pair.
 
     Per attribute: token cosine / Dice / Jaccard / overlap, 3-gram Jaccard,
-    Levenshtein and Jaro-Winkler similarity on lower-cased values truncated
-    to the first ``_EDIT_MAX_CHARS`` characters (truncate-and-compute — no
-    fallback; an *empty* value yields 0.0 for both), Monge-Elkan when both
+    Levenshtein and Jaro-Winkler similarity on values truncated to the
+    first ``_EDIT_MAX_CHARS`` characters *then* lower-cased (so a cut value
+    can be longer than the cap: ``'İ'.lower()`` is two code points;
+    truncate-and-compute — no fallback; an *empty* value yields 0.0 for
+    both), Monge-Elkan over the untruncated tokens when both
     token lists are non-empty with at most ``_MONGE_ELKAN_MAX_TOKENS``
     tokens (0.5 otherwise — uninformative rather than misleading), and
     numeric similarity when both values parse as numbers (0.5 otherwise).
+    :meth:`feature_matrix` computes the edit measures with the batched
+    kernels of :mod:`repro.text.kernels`, once per distinct value pair not
+    yet in the edit cache.
     """
 
     _PER_ATTRIBUTE = (
@@ -414,15 +426,16 @@ class MagellanFeatureExtractor:
             me = monge_elkan_similarity(left_tokens, right_tokens)
         else:
             me = 0.5
-        left_number = self._maybe_number(left)
-        right_number = self._maybe_number(right)
-        if left_number is not None and right_number is not None:
-            num = numeric_similarity(left_number, right_number)
-        else:
-            num = 0.5
-        cached = (lev, jw, me, num)
+        cached = (lev, jw, me, self._numeric_tail(left, right))
         self._edit_cache[key] = cached
         return cached
+
+    def _numeric_tail(self, left: str, right: str) -> float:
+        left_number = self._maybe_number(left)
+        right_number = self._maybe_number(right)
+        if left_number is None or right_number is None:
+            return 0.5
+        return numeric_similarity(left_number, right_number)
 
     def _attribute_features(self, left: str, right: str) -> list[float]:
         left_set = set(tokenize(left))
@@ -459,8 +472,44 @@ class MagellanFeatureExtractor:
             self._cache[pair.key] = cached
         return cached
 
+    def _batch_edit_tails(self, keys: list[tuple[str, str]]) -> None:
+        """Memoize the (lev, jw, me, num) quartet of uncached value pairs.
+
+        The batched twin of :meth:`_edit_tail` over canonical keys: the
+        three edit measures run as one kernel batch each, with the
+        scalar's guards deciding which pairs enter which batch.
+        """
+        shorts = [
+            (left[:_EDIT_MAX_CHARS].lower(), right[:_EDIT_MAX_CHARS].lower())
+            for left, right in keys
+        ]
+        edited = [row for row, (left, right) in enumerate(shorts) if left and right]
+        lev = np.zeros(len(keys), dtype=np.float64)
+        jw = np.zeros(len(keys), dtype=np.float64)
+        edited_lefts = [shorts[row][0] for row in edited]
+        edited_rights = [shorts[row][1] for row in edited]
+        lev[edited] = levenshtein_similarities(edited_lefts, edited_rights)
+        jw[edited] = jaro_winkler_similarities(edited_lefts, edited_rights)
+        tokens = [(tokenize(left), tokenize(right)) for left, right in keys]
+        scored = [
+            row
+            for row, (left, right) in enumerate(tokens)
+            if 0 < len(left) <= _MONGE_ELKAN_MAX_TOKENS
+            and 0 < len(right) <= _MONGE_ELKAN_MAX_TOKENS
+        ]
+        me = np.full(len(keys), 0.5, dtype=np.float64)
+        me[scored] = monge_elkan_similarities(
+            [tokens[row][0] for row in scored], [tokens[row][1] for row in scored]
+        )
+        for key, lev_value, jw_value, me_value in zip(
+            keys, lev.tolist(), jw.tolist(), me.tolist()
+        ):
+            self._edit_cache[key] = (
+                lev_value, jw_value, me_value, self._numeric_tail(*key)
+            )
+
     def _compute_matrix(self, pair_list: list[RecordPair]) -> np.ndarray:
-        """Vectorized battery: batched set measures + memoized edit tail."""
+        """Vectorized battery: batched set measures and edit kernels."""
         width = len(self._PER_ATTRIBUTE)
         matrix = np.empty((len(pair_list), self.n_features), dtype=np.float64)
         records, left_index, right_index = self._store.pair_index(pair_list)
@@ -482,10 +531,17 @@ class MagellanFeatureExtractor:
                     measures=("jaccard",),
                 )
             )
-            for row, pair in enumerate(pair_list):
-                matrix[row, base + 5 : base + 9] = self._edit_tail(
-                    pair.left.value(attribute), pair.right.value(attribute)
-                )
+            keys = []
+            for pair in pair_list:
+                left = pair.left.value(attribute)
+                right = pair.right.value(attribute)
+                keys.append((left, right) if left <= right else (right, left))
+            cache = self._edit_cache
+            missing = list(dict.fromkeys(key for key in keys if key not in cache))
+            if missing:
+                self._batch_edit_tails(missing)
+            if keys:
+                matrix[:, base + 5 : base + 9] = [cache[key] for key in keys]
         return matrix
 
     def feature_matrix(self, pairs: LabeledPairSet) -> np.ndarray:

@@ -9,7 +9,9 @@ measures used by Magellan-style feature extraction (Levenshtein, Jaro,
 Jaro-Winkler, Monge-Elkan). Batched set measures run on
 :mod:`repro.text.kernels`: every feature view's records live in one
 append-only :class:`IncrementalIncidence`, and pair intersections are an
-exact int64 merge over it.
+exact int64 merge over it. Magellan's edit measures batch there too
+(bit-parallel Levenshtein, batched Jaro-Winkler and Monge-Elkan), bit for
+bit against the scalar functions.
 """
 
 from repro.text.feature_store import FeatureStore, store_for_task

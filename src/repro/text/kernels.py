@@ -1,4 +1,5 @@
-"""Vectorized set-similarity kernels over interned token/q-gram sets.
+"""Vectorized similarity kernels: set measures over interned token/q-gram
+sets, and edit measures over code-point matrices.
 
 The paper's difficulty measures and linear matchers all reduce to the
 same primitive: set cosine / Dice / Jaccard / overlap between the token
@@ -29,7 +30,14 @@ sweep. This module batches the primitive:
   :mod:`repro.text.similarity` **bit for bit** (same operand order, same
   empty-set conventions), so the vectorized path is provably
   interchangeable with the per-pair oracle — enforced by the parity
-  tests in ``tests/matchers/test_feature_parity.py``.
+  tests in ``tests/matchers/test_feature_parity.py``;
+* the edit kernels (:func:`levenshtein_similarities`,
+  :func:`jaro_winkler_similarities`, :func:`monge_elkan_similarities`)
+  batch Magellan's edit measures the same way, bit for bit against the
+  scalar functions (``tests/text/test_edit_kernels.py``): Levenshtein as
+  Myers'/Hyyrö's bit-parallel recurrence on ``uint64`` words, one step
+  per text column across all pairs, Jaro-Winkler over a match-window
+  tensor, Monge-Elkan over one Jaro-Winkler table of its token pairs.
 
 Every batch increments the ``kernel.*`` metrics (``kernel.batches``,
 ``kernel.pairs``, the ``kernel.seconds`` timer); callers that memoize
@@ -40,7 +48,7 @@ physical work exactly.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Callable, Iterable, Sequence, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,12 +523,333 @@ def set_similarity_matrix_indexed(
         size_right = row_sizes[right_index]
         for column, kernel in enumerate(kernels):
             matrix[:, column] = kernel(inter, size_left, size_right)
-    elapsed = time.perf_counter() - started
+    _count_batch(n_pairs, started)
+    return matrix
 
+
+def _count_batch(n_pairs: int, started: float) -> None:
+    """The ``kernel.*`` metrics of one batch that began at *started*."""
+    elapsed = time.perf_counter() - started
     obs.inc("kernel.batches")
     obs.inc("kernel.pairs", float(n_pairs))
     obs.observe("kernel.seconds", elapsed)
+
+
+# -- edit-based kernels ------------------------------------------------------
+#
+# Batched twins of the Levenshtein, Jaro-Winkler and Monge-Elkan functions
+# of repro.text.similarity, bit for bit: distances and match counts are
+# exact integers, and every float expression keeps the scalar operand
+# order. Strings become padded int32 code-point matrices (the two sides
+# pad with different negative values, so padding never matches), and the
+# pairs run in chunks of at most _EDIT_CHUNK_CELLS cells (about pairs x
+# width x width, width being the chunk's longest string), so peak memory
+# stays bounded however long one string is.
+
+_EDIT_CHUNK_CELLS = 1 << 21
+_LEFT_PAD = -1
+_RIGHT_PAD = -2
+_WORD_BITS = 64
+
+
+def _string_lengths(strings: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+
+
+def _edit_chunks(widths: np.ndarray, cells: Callable[[int], int]):
+    """``(indices, width)`` chunks over *widths*, shortest first.
+
+    A chunk of ``k`` pairs whose widest is ``width`` holds at most
+    ``_EDIT_CHUNK_CELLS`` cells, ``k * cells(width)``, or is one pair.
+    """
+    order = np.argsort(widths, kind="stable")
+    sorted_widths = widths[order]
+    start, n = 0, len(order)
+    while start < n:
+        stop = n
+        while True:
+            cost = max(cells(int(sorted_widths[stop - 1])), 1)
+            fit = max(1, _EDIT_CHUNK_CELLS // cost)
+            if stop - start <= fit:
+                break
+            stop = start + fit
+        yield order[start:stop], int(sorted_widths[stop - 1])
+        start = stop
+
+
+def _code_matrix(
+    strings: Sequence[str], lengths: np.ndarray, width: int, pad: int
+) -> np.ndarray:
+    """``(len(strings), width)`` int32 code points, padded with *pad*."""
+    matrix = np.full((len(strings), width), pad, dtype=np.int32)
+    total = int(lengths.sum())
+    if total:
+        flat = np.frombuffer(
+            "".join(strings).encode("utf-32-le", "surrogatepass"), dtype="<u4"
+        )
+        starts = np.cumsum(lengths) - lengths
+        rows = np.repeat(np.arange(len(strings)), lengths)
+        columns = np.arange(total) - np.repeat(starts, lengths)
+        matrix[rows, columns] = flat
     return matrix
+
+
+def _levenshtein_chunk(
+    patterns: np.ndarray, m: np.ndarray, texts: np.ndarray, n: np.ndarray
+) -> np.ndarray:
+    """Global edit distances by Myers'/Hyyrö's bit-parallel recurrence.
+
+    Bit ``i`` of word ``b`` of a column's vertical delta vectors ``Pv`` /
+    ``Mv`` says the DP cell at pattern row ``64 b + i + 1`` is one more /
+    one less than the cell above it. One text column updates every pair's
+    words at once; the horizontal delta carried out of a word's top bit
+    feeds the next word, and row 0 always steps by +1 (``D[0][j] = j``).
+    A pair's score is ``D[m][j]``, moved by the deltas at its row ``m``.
+    """
+    rows, width = patterns.shape
+    n_words = max(1, -(-width // _WORD_BITS))
+    padded = np.full((rows, n_words * _WORD_BITS), _LEFT_PAD, dtype=np.int32)
+    padded[:, :width] = patterns
+    # peq[:, j, b]: the pattern positions of word b equal to text char j.
+    peq = np.packbits(
+        texts[:, :, None] == padded[:, None, :], axis=2, bitorder="little"
+    ).view("<u8")
+    last_word = np.maximum(m - 1, 0) // _WORD_BITS
+    top = np.zeros((rows, n_words), dtype=np.uint64)
+    top[np.arange(rows), last_word] = np.left_shift(
+        np.uint64(1), (np.maximum(m - 1, 0) % _WORD_BITS).astype(np.uint64)
+    )
+    top[m == 0] = 0
+    pv = np.full((rows, n_words), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+    mv = np.zeros((rows, n_words), dtype=np.uint64)
+    score = m.copy()
+    one = np.uint64(1)
+    high = np.uint64(_WORD_BITS - 1)
+    for column in range(texts.shape[1]):
+        active = column < n
+        h_plus = np.ones(rows, dtype=np.uint64)  # row 0 steps by +1
+        h_minus = np.zeros(rows, dtype=np.uint64)
+        for word in range(n_words):
+            eq = peq[:, column, word]
+            p, q = pv[:, word], mv[:, word]
+            xv = eq | q
+            eq = eq | h_minus
+            xh = (((eq & p) + p) ^ p) | eq
+            ph = q | ~(xh | p)
+            mh = p & xh
+            bit = top[:, word]
+            score += active & ((ph & bit) != 0)
+            score -= active & ((mh & bit) != 0)
+            out_plus, out_minus = ph >> high, mh >> high
+            ph = (ph << one) | h_plus
+            mh = (mh << one) | h_minus
+            pv[:, word] = mh | ~(xv | ph)
+            mv[:, word] = ph & xv
+            h_plus, h_minus = out_plus, out_minus
+    return np.where(m == 0, n, score)
+
+
+def _levenshtein_cells(width: int) -> int:
+    """Cells of one pair's match bits: text columns x pattern words."""
+    return width * _WORD_BITS * max(1, -(-width // _WORD_BITS))
+
+
+def levenshtein_similarities(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> np.ndarray:
+    """``levenshtein_similarity(lefts[i], rights[i])`` per pair.
+
+    ``1.0 - d / longest`` on the exact integer distance, so every value
+    is the scalar's float expression.
+    """
+    started = time.perf_counter()
+    left_lengths = _string_lengths(lefts)
+    right_lengths = _string_lengths(rights)
+    shortest = np.minimum(left_lengths, right_lengths)
+    longest = np.maximum(left_lengths, right_lengths)
+    distances = np.zeros(len(lefts), dtype=np.int64)
+    # The distance is symmetric: the shorter side is the bit pattern, so
+    # values up to 64 characters take one word.
+    swap = right_lengths < left_lengths
+    for chunk, width in _edit_chunks(longest, _levenshtein_cells):
+        chunk_list = chunk.tolist()
+        patterns = [rights[i] if swap[i] else lefts[i] for i in chunk_list]
+        texts = [lefts[i] if swap[i] else rights[i] for i in chunk_list]
+        m, n = shortest[chunk], longest[chunk]
+        distances[chunk] = _levenshtein_chunk(
+            _code_matrix(patterns, m, max(int(m.max()), 1), _LEFT_PAD),
+            m,
+            _code_matrix(texts, n, max(width, 1), _RIGHT_PAD),
+            n,
+        )
+    similarities = np.ones(len(lefts), dtype=np.float64)
+    mask = longest > 0
+    similarities[mask] = 1.0 - distances[mask] / longest[mask]
+    _count_batch(len(lefts), started)
+    return similarities
+
+
+def _jaro_winkler_chunk(
+    a: np.ndarray,
+    la: np.ndarray,
+    b: np.ndarray,
+    lb: np.ndarray,
+) -> np.ndarray:
+    """Jaro-Winkler of one chunk: the scalar's greedy match, batched.
+
+    ``candidates[p, i, j]`` holds when ``a[i] == b[j]`` inside the match
+    window. Row ``i`` then takes its first still-free ``j``, for every
+    pair at once, in the scalar's order over ``i``.
+    """
+    rows, width = a.shape
+    row_ids = np.arange(rows)
+    window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
+    positions = np.arange(width)
+    offsets = np.abs(positions[None, :] - positions[:, None])
+    candidates = (a[:, :, None] == b[:, None, :]) & (
+        offsets[None, :, :] <= window[:, None, None]
+    )
+    a_flags = np.zeros((rows, width), dtype=bool)
+    b_flags = np.zeros((rows, width), dtype=bool)
+    for i in range(int(la.max(initial=0))):
+        free = candidates[:, i, :] & ~b_flags
+        first = free.argmax(axis=1)
+        hit = free[row_ids, first]
+        a_flags[:, i] = hit
+        b_flags[row_ids[hit], first[hit]] = True
+    matches = a_flags.sum(axis=1)
+
+    # Transpositions: the k-th matched character of a against the k-th
+    # of b, halved.
+    def matched(codes: np.ndarray, flags: np.ndarray, pad: int) -> np.ndarray:
+        out = np.full((rows, width), pad, dtype=np.int32)
+        flag_rows, flag_columns = np.nonzero(flags)
+        ranks = np.cumsum(flags, axis=1)[flag_rows, flag_columns] - 1
+        out[flag_rows, ranks] = codes[flag_rows, flag_columns]
+        return out
+
+    mismatched = matched(a, a_flags, _LEFT_PAD) != matched(b, b_flags, _RIGHT_PAD)
+    in_range = positions[None, :] < matches[:, None]
+    transpositions = (mismatched & in_range).sum(axis=1) // 2
+
+    jaro = np.zeros(rows, dtype=np.float64)
+    some = matches > 0
+    m = matches[some]
+    jaro[some] = (
+        m / la[some] + m / lb[some] + (m - transpositions[some]) / m
+    ) / 3.0
+    equal = (la == lb) & np.all(
+        (a == b) | (positions[None, :] >= la[:, None]), axis=1
+    )
+    jaro[equal] = 1.0
+    head = min(width, 4)
+    prefix = np.cumprod(a[:, :head] == b[:, :head], axis=1).sum(axis=1)
+    return jaro + prefix * 0.1 * (1.0 - jaro)  # the scalar's default weight
+
+
+def _jaro_winkler(lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
+    left_lengths = _string_lengths(lefts)
+    right_lengths = _string_lengths(rights)
+    similarities = np.zeros(len(lefts), dtype=np.float64)
+    for chunk, width in _edit_chunks(
+        np.maximum(left_lengths, right_lengths), lambda width: width * width
+    ):
+        chunk_list = chunk.tolist()
+        la, lb = left_lengths[chunk], right_lengths[chunk]
+        width = max(width, 1)
+        similarities[chunk] = _jaro_winkler_chunk(
+            _code_matrix([lefts[i] for i in chunk_list], la, width, _LEFT_PAD),
+            la,
+            _code_matrix([rights[i] for i in chunk_list], lb, width, _RIGHT_PAD),
+            lb,
+        )
+    return similarities
+
+
+def jaro_winkler_similarities(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> np.ndarray:
+    """``jaro_winkler_similarity(lefts[i], rights[i])`` per pair."""
+    started = time.perf_counter()
+    similarities = _jaro_winkler(lefts, rights)
+    _count_batch(len(lefts), started)
+    return similarities
+
+
+def _monge_elkan_chunk(
+    lists_a: Sequence[Sequence[str]],
+    lists_b: Sequence[Sequence[str]],
+    counts_a: np.ndarray,
+    counts_b: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """Monge-Elkan of one chunk of pairs of non-empty token lists."""
+    rows = len(lists_a)
+    ids: dict[str, int] = {}
+    ids_a = np.full((rows, width), -1, dtype=np.int64)
+    ids_b = np.full((rows, width), -1, dtype=np.int64)
+    for row, (tokens_a, tokens_b) in enumerate(zip(lists_a, lists_b)):
+        ids_a[row, : len(tokens_a)] = [ids.setdefault(t, len(ids)) for t in tokens_a]
+        ids_b[row, : len(tokens_b)] = [ids.setdefault(t, len(ids)) for t in tokens_b]
+    vocab = len(ids)
+    # Per direction, (pairs, width, width) ordered token-pair codes
+    # ``source * vocab + target``, -1 off the lists.
+    directions = []
+    for source, target in ((ids_a, ids_b), (ids_b, ids_a)):
+        valid = (source[:, :, None] >= 0) & (target[:, None, :] >= 0)
+        codes = source[:, :, None] * vocab + target[:, None, :]
+        directions.append(np.where(valid, codes, -1))
+    table_codes = _sorted_unique(
+        np.concatenate([codes[codes >= 0] for codes in directions])
+    )
+    tokens = list(ids)
+    table = _jaro_winkler(
+        [tokens[code] for code in (table_codes // vocab).tolist()],
+        [tokens[code] for code in (table_codes % vocab).tolist()],
+    )
+    directed = []
+    for codes, counts in zip(directions, (counts_a, counts_b)):
+        scores = np.where(
+            codes >= 0,
+            table[np.searchsorted(table_codes, np.maximum(codes, 0))],
+            -np.inf,
+        )
+        best = scores.max(axis=2)
+        total = np.zeros(rows, dtype=np.float64)
+        for k in range(width):
+            total += np.where(k < counts, best[:, k], 0.0)
+        directed.append(total / counts)
+    return (directed[0] + directed[1]) / 2.0
+
+
+def monge_elkan_similarities(
+    token_lists_a: Sequence[Sequence[str]],
+    token_lists_b: Sequence[Sequence[str]],
+) -> np.ndarray:
+    """``monge_elkan_similarity(token_lists_a[i], token_lists_b[i])`` per pair.
+
+    Per chunk, every distinct ordered token pair the scalar would score
+    gets one Jaro-Winkler value in one batched table; each directed sum
+    then adds its best matches token by token from 0.0, in the scalar's
+    order.
+    """
+    started = time.perf_counter()
+    counts_a = _string_lengths(token_lists_a)
+    counts_b = _string_lengths(token_lists_b)
+    similarities = np.zeros(len(token_lists_a), dtype=np.float64)
+    scored = np.flatnonzero((counts_a > 0) & (counts_b > 0))
+    widths = np.maximum(counts_a, counts_b)[scored]
+    for chunk, width in _edit_chunks(widths, lambda width: width * width):
+        rows = scored[chunk]
+        similarities[rows] = _monge_elkan_chunk(
+            [token_lists_a[row] for row in rows.tolist()],
+            [token_lists_b[row] for row in rows.tolist()],
+            counts_a[rows],
+            counts_b[rows],
+            width,
+        )
+    _count_batch(len(token_lists_a), started)
+    return similarities
 
 
 # -- the record incidence ----------------------------------------------------

@@ -61,6 +61,7 @@ class TfIdfVectorizer:
     def __init__(self, smooth: bool = True) -> None:
         self.smooth = smooth
         self._idf: dict[str, float] = {}
+        self._unseen_idf = 0.0
         self._document_count = 0
 
     @property
@@ -83,15 +84,20 @@ class TfIdfVectorizer:
             token: math.log((count + offset) / (frequency + offset)) + 1.0
             for token, frequency in document_frequency.items()
         }
+        self._unseen_idf = (
+            math.log((count + offset) / offset) + 1.0
+            if offset
+            else math.log(count) + 1.0
+        )
         return self
 
     def idf(self, token: str) -> float:
         """IDF of *token*; unseen tokens get the maximal (rarest) weight."""
-        self._require_fitted()
-        offset = 1 if self.smooth else 0
-        default = math.log((self._document_count + offset) / offset) + 1.0 \
-            if offset else math.log(self._document_count) + 1.0
-        return self._idf.get(token, default)
+        weight = self._idf.get(token)
+        if weight is None:
+            self._require_fitted()
+            return self._unseen_idf
+        return weight
 
     def weights(self, tokens: Sequence[str]) -> dict[str, float]:
         """Return the L2-normalized TF-IDF weight of each distinct token."""

@@ -11,10 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.linearity import DEGENERATE_THRESHOLD, pair_similarities
 from repro.data.pairs import LabeledPairSet, RecordPair
 from repro.data.records import RecordStore, Schema
 from repro.data.task import MatchingTask
+from repro.obs import Observability
 from repro.matchers.esde import EsdeMatcher
 from repro.matchers.features import (
     EsdeFeatureExtractor,
@@ -26,6 +28,7 @@ from repro.text.similarity import (
     jaccard_similarity,
     overlap_coefficient,
 )
+from repro.text.tokenize import tokenize
 from tests.conftest import make_record
 
 SET_VARIANTS = ("SA", "SB", "SAQ", "SBQ")
@@ -41,8 +44,11 @@ def _edge_case_task() -> MatchingTask:
     """A task whose records exercise every awkward text shape.
 
     Empty values, values shorter than the largest q (10), single
-    characters, repeated grams, numerics, and unicode — the shapes most
-    likely to diverge between a vectorized encoder and the scalar one.
+    characters, repeated grams, numerics, unicode (``'İ'`` lower-cases to
+    two code points, so a 32-character cut reaches 64), values past the
+    edit cap and token lists at and past the Monge-Elkan cap — the shapes
+    most likely to diverge between a vectorized encoder and the scalar
+    one.
     """
     schema = Schema(("name", "code"))
     lefts = [
@@ -52,6 +58,7 @@ def _edge_case_task() -> MatchingTask:
         make_record("l3", "edge_left", name="aaaaaaaaaaaa", code="12.5"),
         make_record("l4", "edge_left", name="Straße déjà vu", code="ß"),
         make_record("l5", "edge_left", name="one two three four", code="n/a"),
+        make_record("l6", "edge_left", name="İ" * 40, code="a b c d e f"),
     ]
     rights = [
         make_record("r0", "edge_right", name="", code="7"),
@@ -60,6 +67,9 @@ def _edge_case_task() -> MatchingTask:
         make_record("r3", "edge_right", name="aaaa", code="12.9"),
         make_record("r4", "edge_right", name="strasse deja vu", code="ss"),
         make_record("r5", "edge_right", name="three four five", code="N/A"),
+        make_record(
+            "r6", "edge_right", name="i̇" * 33 + " tail", code="a b c d e f g"
+        ),
     ]
     left = RecordStore("edge_left", schema, lefts)
     right = RecordStore("edge_right", schema, rights)
@@ -128,6 +138,11 @@ class TestEsdeDegenerateFold:
         assert not predictions.any()
 
 
+def _magellan_oracle(attributes, pairs: LabeledPairSet) -> np.ndarray:
+    """The scalar path of a fresh extractor, whose caches no batch filled."""
+    return _oracle(MagellanFeatureExtractor(attributes), pairs)
+
+
 class TestMagellanParity:
     def test_matrix_matches_oracle(self, handmade_task):
         extractor = MagellanFeatureExtractor(
@@ -136,13 +151,48 @@ class TestMagellanParity:
         for split in (handmade_task.training, handmade_task.testing):
             matrix = extractor.feature_matrix(split)
             assert matrix.shape == (len(split), extractor.n_features)
-            assert np.array_equal(matrix, _oracle(extractor, split))
+            assert np.array_equal(
+                matrix, _magellan_oracle(handmade_task.attributes, split)
+            )
 
     def test_edge_case_records(self):
         task = _edge_case_task()
         extractor = MagellanFeatureExtractor(("name", "code"))
-        matrix = extractor.feature_matrix(task.testing)
-        assert np.array_equal(matrix, _oracle(extractor, task.testing))
+        for split in (task.training, task.validation, task.testing):
+            matrix = extractor.feature_matrix(split)
+            assert np.array_equal(
+                matrix, _magellan_oracle(("name", "code"), split)
+            )
+
+    def test_matrix_counts_its_edit_batches(self, handmade_task):
+        # One matrix over uncached pairs runs, per attribute, two
+        # set-measure batches and one batch each of Levenshtein,
+        # Jaro-Winkler and Monge-Elkan over its distinct value pairs.
+        attributes = handmade_task.attributes
+        split = handmade_task.training
+        extractor = MagellanFeatureExtractor(attributes)
+        expected_pairs = 0
+        for attribute in attributes:
+            keys = {
+                tuple(sorted((pair.left.value(attribute), pair.right.value(attribute))))
+                for pair in split.pairs
+            }
+            expected_pairs += 2 * len(split)  # token and 3-gram set batches
+            expected_pairs += 2 * sum(  # Levenshtein and Jaro-Winkler
+                bool(left[:32]) and bool(right[:32]) for left, right in keys
+            )
+            expected_pairs += sum(  # Monge-Elkan
+                0 < len(tokenize(left)) <= 6 and 0 < len(tokenize(right)) <= 6
+                for left, right in keys
+            )
+        with obs.use(Observability()):
+            extractor.feature_matrix(split)
+            assert obs.counter("kernel.batches") == 5 * len(attributes)
+            assert obs.counter("kernel.pairs") == expected_pairs
+            # Every value pair is cached now: a new pair list over the
+            # same pairs runs the set batches only.
+            extractor.feature_matrix(split.subset(range(len(split))[::-1]))
+            assert obs.counter("kernel.batches") == 7 * len(attributes)
 
     def test_features_are_symmetric_and_cached_once(self):
         # Every Magellan measure is symmetric (Monge-Elkan explicitly

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from repro.data.pairs import RecordPair
-from repro.matchers.deep.lexical import LexicalEvidence, digit_tokens
+from repro.data.task import MatchingTask
+from repro.matchers.deep import lexical
+from repro.matchers.deep.ditto import DittoNet
+from repro.matchers.deep.emtransformer import EMTransformerNet
+from repro.matchers.deep.gnem import GnemNet
+from repro.matchers.deep.hiermatcher import HierMatcherNet
+from repro.matchers.deep.lexical import (
+    LexicalEvidence,
+    digit_tokens,
+    lexical_evidence_for_task,
+)
 from repro.text.vectorize import TfIdfVectorizer
 from tests.conftest import make_record
 
@@ -87,3 +97,46 @@ class TestLexicalEvidence:
         evidence.features(pair)
         assert pair.left.record_id in evidence._token_cache
         assert pair.right.record_id in evidence._token_cache
+
+
+class TestSharedEvidence:
+    def test_deep_families_fit_one_vectorizer_per_task(
+        self, handmade_task, monkeypatch
+    ):
+        fits = []
+        original_fit = TfIdfVectorizer.fit
+
+        def counting_fit(self, documents):
+            fits.append(self)
+            return original_fit(self, documents)
+
+        monkeypatch.setattr(lexical.TfIdfVectorizer, "fit", counting_fit)
+        task = MatchingTask(  # a fresh task object: no evidence yet
+            "shared_evidence",
+            handmade_task.left,
+            handmade_task.right,
+            handmade_task.training,
+            handmade_task.validation,
+            handmade_task.testing,
+        )
+        nets = [
+            DittoNet(epochs=1),
+            EMTransformerNet("B", epochs=1),
+            EMTransformerNet("R", epochs=1),
+            GnemNet(epochs=1),
+        ]
+        hier = HierMatcherNet(epochs=1)
+        for net in nets + [hier]:
+            net._prepare(task)
+        assert len(fits) == 1
+        evidence = lexical_evidence_for_task(task)
+        assert all(net._lexical is evidence for net in nets)
+        assert hier._vectorizer is evidence.vectorizer
+
+    def test_rows_are_published_once_and_read_only(self, evidence):
+        pair = _pair("sony pslx350h", "sony turntable")
+        row = evidence.features(pair)
+        assert not row.flags.writeable
+        assert evidence.features(pair) is row
+        with pytest.raises(ValueError):
+            row[0] = 0.0

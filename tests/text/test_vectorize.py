@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +54,16 @@ class TestTfIdf:
 
     def test_unseen_token_gets_max_idf(self, fitted):
         assert fitted.idf("never_seen") >= fitted.idf("rare1")
+
+    def test_unseen_idf_is_the_smoothed_formula(self, fitted):
+        # Four documents, smoothing 1: log((4 + 1) / 1) + 1, to the bit.
+        assert fitted.idf("never_seen") == math.log(5 / 1) + 1.0
+        unsmoothed = TfIdfVectorizer(smooth=False).fit([["a"], ["b"], ["a"]])
+        assert unsmoothed.idf("never_seen") == math.log(3) + 1.0
+
+    def test_idf_unfitted_raises(self):
+        with pytest.raises(RuntimeError):
+            TfIdfVectorizer().idf("a")
 
     def test_weights_normalized(self, fitted):
         weights = fitted.weights(["common", "rare1", "rare1"])
