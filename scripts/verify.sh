@@ -10,8 +10,9 @@
 # scale-shards and serve-mix throughput floors), the overhead and
 # kernel-speedup benches, the ANN, serve and front-end smokes, and the
 # scale-mode stage (budgeted sharded sweep, the scale cases of the
-# SIGKILL/doctor/resume crash test). Inside a git checkout the run must
-# leave `git status` exactly as it found it.
+# SIGKILL/doctor/resume crash test) and the memory-lifetime stage (a
+# six-dataset verdicts run peaks at most 1.5x a one-dataset run). Inside
+# a git checkout the run must leave `git status` exactly as it found it.
 #
 # Usage: scripts/verify.sh [--smoke-only]
 set -euo pipefail
@@ -333,6 +334,30 @@ python -m repro scale-up Ds2 --records 10000 --shard-size 500 \
 # SIGKILL at each commit step (--inject SITE=kill), doctor audit and
 # repair, resume: the final table must equal an uninterrupted run's.
 python -m pytest -x -q tests/runtime/test_crash_consistency.py -k scale
+
+echo "== memory lifetime: six datasets peak <= 1.5x one dataset =="
+# The runner holds one dataset's derived state at a time (DESIGN.md §9),
+# so assessing six datasets in one process must peak near one dataset's
+# run, not at the sum of the six.
+python - <<'EOF'
+import os, subprocess, sys
+
+def peak_mb(datasets):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "verdicts", "--datasets", datasets,
+         "--cache", ""],
+        stdout=subprocess.DEVNULL,
+    )
+    __, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, f"verdicts --datasets {datasets} failed"
+    return usage.ru_maxrss / 1024.0  # Linux reports KiB
+
+one = peak_mb("Ds1")
+six = peak_mb("Ds1,Dt1,Ds5,Ds7,Ds3,Dd1")
+print(f"peak RSS: Ds1 {one:.0f} MB, six datasets {six:.0f} MB ({six / one:.2f}x)")
+assert six <= 1.5 * one, f"six-dataset peak is {six / one:.2f}x the Ds1 peak"
+EOF
 
 echo "== clean working tree =="
 if [[ "$IN_GIT" == 1 ]]; then

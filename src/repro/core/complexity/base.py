@@ -15,6 +15,8 @@ import numpy as np
 from repro.core.complexity.gower import gower_distance_matrix
 from repro.data.pairs import LabeledPairSet
 from repro.ml.base import check_features, check_labels
+from repro.ml.scaling import StandardScaler
+from repro.ml.svm import LinearSVM
 from repro.text.similarity import cosine_similarity, jaccard_similarity
 
 #: Default instance cap for the O(n^2) measures; stratified, seeded.
@@ -23,11 +25,14 @@ DEFAULT_MAX_INSTANCES = 1500
 
 @dataclass
 class ComplexityInputs:
-    """Validated features/labels plus the shared distance matrix."""
+    """Validated features/labels plus the shared distance matrix and SVM."""
 
     features: np.ndarray
     labels: np.ndarray
     _distances: np.ndarray | None = field(default=None, repr=False)
+    _linear_svm: tuple[LinearSVM, np.ndarray] | None = field(
+        default=None, repr=False
+    )
 
     @property
     def n_samples(self) -> int:
@@ -47,6 +52,19 @@ class ComplexityInputs:
         if self._distances is None:
             self._distances = gower_distance_matrix(self.features)
         return self._distances
+
+    @property
+    def linear_svm(self) -> tuple[LinearSVM, np.ndarray]:
+        """The linear SVM l1 and l2 share, with the standardized features
+        it was fitted on; fitted on first use."""
+        if self._linear_svm is None:
+            features = StandardScaler().fit_transform(self.features)
+            # 15 Pegasos epochs converge comfortably on the 2-d similarity
+            # features these measures run on; more epochs only cost time.
+            svm = LinearSVM(regularization=1e-3, epochs=15, balanced=False, seed=7)
+            svm.fit(features, self.labels)
+            self._linear_svm = (svm, features)
+        return self._linear_svm
 
     def class_mask(self, label: int) -> np.ndarray:
         return self.labels == label

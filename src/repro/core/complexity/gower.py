@@ -17,7 +17,8 @@ def gower_distance_matrix(features: np.ndarray) -> np.ndarray:
     """Pairwise Gower distances (numeric variant) in [0, 1].
 
     Each feature is range-normalized on the data at hand; constant features
-    contribute zero distance.
+    contribute zero distance. The per-feature terms accumulate in place
+    through one scratch array, so the build holds two n x n arrays at most.
     """
     array = check_features(features)
     n_samples, n_features = array.shape
@@ -27,7 +28,11 @@ def gower_distance_matrix(features: np.ndarray) -> np.ndarray:
         return np.zeros((n_samples, n_samples))
     normalized = array[:, active] / ranges[active]
     distances = np.zeros((n_samples, n_samples))
+    scratch = np.empty_like(distances)
     for j in range(normalized.shape[1]):
         column = normalized[:, j]
-        distances += np.abs(column[:, None] - column[None, :])
-    return distances / n_features
+        np.subtract(column[:, None], column[None, :], out=scratch)
+        np.abs(scratch, out=scratch)
+        distances += scratch
+    distances /= n_features
+    return distances

@@ -1,7 +1,8 @@
 """Linearity complexity measures: l1, l2 (Table I-b).
 
-Both rest on a linear SVM fitted to the (standardized) data: l1 aggregates
-the margin-violation distances, l2 is the plain training error rate.
+Both rest on one linear SVM fitted to the (standardized) data
+(:attr:`ComplexityInputs.linear_svm`): l1 aggregates the margin-violation
+distances, l2 is the plain training error rate.
 """
 
 from __future__ import annotations
@@ -9,18 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.complexity.base import ComplexityInputs
-from repro.ml.scaling import StandardScaler
-from repro.ml.svm import LinearSVM
-
-
-def _fit_svm(inputs: ComplexityInputs) -> tuple[LinearSVM, np.ndarray]:
-    scaler = StandardScaler()
-    features = scaler.fit_transform(inputs.features)
-    # 15 Pegasos epochs converge comfortably on the 2-d similarity features
-    # these measures run on; more epochs only cost time.
-    svm = LinearSVM(regularization=1e-3, epochs=15, balanced=False, seed=7)
-    svm.fit(features, inputs.labels)
-    return svm, features
 
 
 def l1_error_distance(inputs: ComplexityInputs) -> float:
@@ -29,7 +18,7 @@ def l1_error_distance(inputs: ComplexityInputs) -> float:
     l1 = 1 - 1/(1 + mean hinge loss): zero when the classes are separated
     with margin, approaching 1 as violations grow.
     """
-    svm, features = _fit_svm(inputs)
+    svm, features = inputs.linear_svm
     violations = svm.margin_violations(features, inputs.labels)
     # Only count actual errors (hinge > 1 means misclassified); following
     # Lorena et al. the distances of incorrectly classified points are
@@ -42,6 +31,6 @@ def l1_error_distance(inputs: ComplexityInputs) -> float:
 
 def l2_error_rate(inputs: ComplexityInputs) -> float:
     """Training error rate of the linear SVM."""
-    svm, features = _fit_svm(inputs)
+    svm, features = inputs.linear_svm
     predictions = svm.predict(features)
     return float(np.mean(predictions != inputs.labels))

@@ -10,19 +10,80 @@ import numpy as np
 
 from repro.core.complexity.base import ComplexityInputs
 
+#: Rows per block of the masked row scans below: each block's temporaries
+#: are ``BLOCK_ROWS x n``, so no measure copies the n x n Gower matrix.
+BLOCK_ROWS = 256
 
-def _distances_with_inf_diagonal(inputs: ComplexityInputs) -> np.ndarray:
-    distances = inputs.distances.copy()
-    np.fill_diagonal(distances, np.inf)
-    return distances
+#: Elements of n4's per-chunk difference array (synthetic x original x
+#: features), which bounds that measure's temporaries to a few MB.
+N4_CHUNK_ELEMENTS = 250_000
+
+
+def _row_blocks(n_samples: int):
+    """``(start, stop)`` of each row block of an n x n matrix."""
+    for start in range(0, n_samples, BLOCK_ROWS):
+        yield start, min(start + BLOCK_ROWS, n_samples)
+
+
+def _masked_row_minima(inputs: ComplexityInputs, same_class: bool) -> np.ndarray:
+    """Each point's distance to its nearest other point of the same class
+    (``same_class=True``) or of the other class; ``inf`` when there is none.
+    """
+    distances = inputs.distances
+    labels = inputs.labels
+    minima = np.empty(inputs.n_samples)
+    for start, stop in _row_blocks(inputs.n_samples):
+        if same_class:
+            mask = labels[start:stop, None] == labels[None, :]
+            rows = np.arange(stop - start)
+            mask[rows, rows + start] = False
+        else:
+            mask = labels[start:stop, None] != labels[None, :]
+        np.min(
+            distances[start:stop],
+            axis=1,
+            initial=np.inf,
+            where=mask,
+            out=minima[start:stop],
+        )
+    return minima
 
 
 def _nearest_enemy_distance(inputs: ComplexityInputs) -> np.ndarray:
     """Distance from each point to its nearest point of the other class."""
+    return _masked_row_minima(inputs, same_class=False)
+
+
+#: scipy turns a dense matrix into a graph through ``np.ma.masked_values``,
+#: whose tolerance makes every distance of at most 1e-8 "no edge".
+NO_EDGE_DISTANCE = 1e-8
+
+
+def _distance_graph(inputs: ComplexityInputs):
+    """The Gower matrix as the CSR graph scipy makes of a dense matrix.
+
+    ``data``, ``indices`` and ``indptr`` equal those of
+    ``csgraph_from_dense(distances, null_value=0)``, so the spanning tree
+    is the same, ties included. Built a row block at a time instead of
+    through scipy's n x n masked copy.
+    """
+    from scipy.sparse import csr_matrix
+
     distances = inputs.distances
-    labels = inputs.labels
-    enemy = np.where(labels[:, None] != labels[None, :], distances, np.inf)
-    return enemy.min(axis=1)
+    n_samples = inputs.n_samples
+    indptr = np.zeros(n_samples + 1, dtype=np.int32)
+    for start, stop in _row_blocks(n_samples):
+        edges = distances[start:stop] > NO_EDGE_DISTANCE
+        indptr[start + 1 : stop + 1] = np.count_nonzero(edges, axis=1)
+    np.cumsum(indptr, out=indptr)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for start, stop in _row_blocks(n_samples):
+        block = distances[start:stop]
+        rows, cols = np.nonzero(block > NO_EDGE_DISTANCE)
+        data[indptr[start] : indptr[stop]] = block[rows, cols]
+        indices[indptr[start] : indptr[stop]] = cols
+    return csr_matrix((data, indices, indptr), shape=(n_samples, n_samples))
 
 
 def n1_borderline_fraction(inputs: ComplexityInputs) -> float:
@@ -30,7 +91,7 @@ def n1_borderline_fraction(inputs: ComplexityInputs) -> float:
     # Imported here: scipy.sparse.csgraph costs every CLI command ~0.3 s.
     from scipy.sparse.csgraph import minimum_spanning_tree
 
-    tree = minimum_spanning_tree(inputs.distances)
+    tree = minimum_spanning_tree(_distance_graph(inputs), overwrite=True)
     rows, cols = tree.nonzero()
     borderline: set[int] = set()
     for a, b in zip(rows, cols):
@@ -46,12 +107,8 @@ def n2_intra_extra_ratio(inputs: ComplexityInputs) -> float:
     r = sum(nearest same-class distance) / sum(nearest other-class
     distance); n2 = r / (1 + r) maps it into [0, 1).
     """
-    distances = _distances_with_inf_diagonal(inputs)
-    labels = inputs.labels
-    same = np.where(labels[:, None] == labels[None, :], distances, np.inf)
-    other = np.where(labels[:, None] != labels[None, :], distances, np.inf)
-    intra = same.min(axis=1)
-    extra = other.min(axis=1)
+    intra = _masked_row_minima(inputs, same_class=True)
+    extra = _masked_row_minima(inputs, same_class=False)
     intra = np.where(np.isfinite(intra), intra, 0.0)
     extra_sum = float(extra[np.isfinite(extra)].sum())
     if extra_sum == 0.0:
@@ -62,8 +119,12 @@ def n2_intra_extra_ratio(inputs: ComplexityInputs) -> float:
 
 def n3_nearest_neighbor_error(inputs: ComplexityInputs) -> float:
     """Leave-one-out 1-NN error rate under the Gower distance."""
-    distances = _distances_with_inf_diagonal(inputs)
-    nearest = np.argmin(distances, axis=1)
+    nearest = np.empty(inputs.n_samples, dtype=np.intp)
+    for start, stop in _row_blocks(inputs.n_samples):
+        block = inputs.distances[start:stop].copy()
+        rows = np.arange(stop - start)
+        block[rows, rows + start] = np.inf
+        nearest[start:stop] = np.argmin(block, axis=1)
     return float(np.mean(inputs.labels[nearest] != inputs.labels))
 
 
@@ -106,10 +167,11 @@ def n4_nearest_neighbor_nonlinearity(
     original = inputs.features[:, active] / ranges[active]
     synthetic = synthetic_features[:, active] / ranges[active]
     errors = 0
-    chunk_size = max(1, 2_000_000 // max(1, original.shape[0]))
+    chunk_size = max(1, N4_CHUNK_ELEMENTS // original.size)
     for start in range(0, n_synthetic, chunk_size):
         chunk = synthetic[start : start + chunk_size]
-        gower = np.abs(chunk[:, None, :] - original[None, :, :]).mean(axis=2)
+        difference = chunk[:, None, :] - original[None, :, :]
+        gower = np.abs(difference, out=difference).mean(axis=2)
         nearest = np.argmin(gower, axis=1)
         errors += int(
             np.sum(
@@ -152,9 +214,11 @@ def lsc_local_set_cardinality(inputs: ComplexityInputs) -> float:
     large local sets and a low (simple) score.
     """
     radii = _nearest_enemy_distance(inputs)
-    distances = inputs.distances
-    same_class = inputs.labels[:, None] == inputs.labels[None, :]
-    closer = distances < radii[:, None]
-    local_set_sizes = (same_class & closer).sum(axis=1) - 1  # exclude self
-    local_set_sizes = np.maximum(local_set_sizes, 0)
+    labels = inputs.labels
+    local_set_sizes = np.empty(inputs.n_samples, dtype=np.intp)
+    for start, stop in _row_blocks(inputs.n_samples):
+        closer = inputs.distances[start:stop] < radii[start:stop, None]
+        closer &= labels[start:stop, None] == labels[None, :]
+        local_set_sizes[start:stop] = np.count_nonzero(closer, axis=1)
+    local_set_sizes = np.maximum(local_set_sizes - 1, 0)  # exclude self
     return 1.0 - float(local_set_sizes.sum()) / (inputs.n_samples**2)

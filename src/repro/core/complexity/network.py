@@ -32,9 +32,8 @@ def epsilon_adjacency(
     inputs: ComplexityInputs, epsilon: float = EPSILON
 ) -> np.ndarray:
     """Boolean adjacency of the pruned epsilon-NN graph (no self loops)."""
-    distances = inputs.distances
-    same_class = inputs.labels[:, None] == inputs.labels[None, :]
-    adjacency = (distances < epsilon) & same_class
+    adjacency = inputs.distances < epsilon
+    adjacency &= inputs.labels[:, None] == inputs.labels[None, :]
     np.fill_diagonal(adjacency, False)
     return adjacency
 
@@ -79,7 +78,8 @@ def cls_clustering_coefficient(
     dense = adjacency.astype(np.float32)
     degrees = dense.sum(axis=1)
     paths_of_length_two = dense @ dense  # BLAS; einsum would loop in Python C
-    triangles = (paths_of_length_two * dense).sum(axis=1) / 2.0
+    closed = np.multiply(paths_of_length_two, dense, out=paths_of_length_two)
+    triangles = closed.sum(axis=1) / 2.0
     wedges = degrees * (degrees - 1.0) / 2.0
     coefficients = np.divide(
         triangles, wedges, out=np.zeros(n, dtype=np.float64), where=wedges > 0

@@ -27,7 +27,6 @@ from repro.datasets.entities import (
 )
 from repro.datasets.noise import NoiseModel
 from repro.datasets.vocabulary import ConceptVocabulary
-from repro.text.similarity import jaccard_similarity
 
 
 @dataclass(frozen=True)
@@ -312,12 +311,18 @@ def _generate_sharded(profile: GeneratorProfile, shard_size: int) -> SourcePair:
     )
 
 
-def _token_index(records: Sequence[Record]) -> dict[str, list[int]]:
+def _token_index(
+    records: Sequence[Record],
+) -> tuple[dict[str, list[int]], list[int]]:
+    """Token -> record positions, plus each record's distinct-token count."""
     index: dict[str, list[int]] = {}
+    sizes: list[int] = []
     for position, record in enumerate(records):
-        for token in record.tokens():
+        tokens = record.tokens()
+        sizes.append(len(tokens))
+        for token in tokens:
             index.setdefault(token, []).append(position)
-    return index
+    return index, sizes
 
 
 def hard_negative_candidates(
@@ -330,9 +335,13 @@ def hard_negative_candidates(
     pairs sharing at least one token are scored). Returns
     (similarity, left_id, right_id) sorted by descending similarity —
     the pool that strict blocking would forward to matching.
+
+    A pair's overlap count is its token intersection, so the Jaccard
+    ``|L & R| / |L | R|`` comes from the index without re-tokenizing the
+    right record.
     """
     right_records = sources.right.records()
-    index = _token_index(right_records)
+    index, right_sizes = _token_index(right_records)
     results: list[tuple[float, str, str]] = []
     for left_record in sources.left:
         left_tokens = left_record.tokens()
@@ -341,13 +350,12 @@ def hard_negative_candidates(
             for position in index.get(token, ()):
                 overlap_counts[position] = overlap_counts.get(position, 0) + 1
         scored: list[tuple[float, str]] = []
-        for position in overlap_counts:
-            right_record = right_records[position]
-            key = (left_record.record_id, right_record.record_id)
-            if key in sources.matches:
+        for position, overlap in overlap_counts.items():
+            right_id = right_records[position].record_id
+            if (left_record.record_id, right_id) in sources.matches:
                 continue
-            similarity = jaccard_similarity(left_tokens, right_record.tokens())
-            scored.append((similarity, right_record.record_id))
+            union = len(left_tokens) + right_sizes[position] - overlap
+            scored.append((overlap / union, right_id))
         scored.sort(key=lambda item: (-item[0], item[1]))
         for similarity, right_id in scored[:per_left]:
             results.append((similarity, left_record.record_id, right_id))

@@ -46,6 +46,13 @@ def load_established_task(
     return _task_cache[key]
 
 
+def built_established_task(
+    dataset_id: str, size_factor: float = 1.0
+) -> MatchingTask | None:
+    """The established task if it was already built, else ``None``."""
+    return _task_cache.get((dataset_id, size_factor))
+
+
 def load_source_pair(dataset_id: str, size_factor: float = 1.0) -> SourcePair:
     """Build (or fetch from cache) one of the 8 Table V source pairs."""
     key = (dataset_id, size_factor)
@@ -66,6 +73,7 @@ __all__ = [
     "NEW_BENCHMARK_LABELS",
     "SOURCE_DATASET_IDS",
     "SOURCE_PROFILES",
+    "built_established_task",
     "clear_cache",
     "load_established_task",
     "load_source_pair",

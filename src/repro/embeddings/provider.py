@@ -9,6 +9,7 @@ the analogue of applying a pre-trained model to a domain it never saw.
 
 from __future__ import annotations
 
+from repro.data.derived import derived
 from repro.data.task import MatchingTask
 from repro.datasets.vocabulary import ConceptVocabulary
 from repro.embeddings.contextual import ContextualEmbedder
@@ -16,24 +17,24 @@ from repro.embeddings.lm import SyntheticLanguageModel
 from repro.embeddings.sentence import SentenceEmbedder
 from repro.embeddings.static import StaticEmbedder
 
-#: One language model per (vocabulary identity, dimension); token vectors
-#: are expensive enough to be worth sharing across matchers.
-_model_cache: dict[tuple[int, int], SyntheticLanguageModel] = {}
-
 
 def language_model_for_task(
     task: MatchingTask, dimension: int = 64
 ) -> SyntheticLanguageModel:
-    """The shared synthetic LM for a task (cached per vocabulary)."""
-    vocabulary = task.metadata.get("vocabulary")
-    if not isinstance(vocabulary, ConceptVocabulary):
-        vocabulary = ConceptVocabulary(name=f"{task.name}-oov")
-    key = (id(vocabulary), dimension)
-    if key not in _model_cache:
-        _model_cache[key] = SyntheticLanguageModel(
-            vocabulary, dimension=dimension, seed=0
-        )
-    return _model_cache[key]
+    """The shared synthetic LM of *task* (one per dimension).
+
+    Token vectors are expensive enough to be worth sharing across
+    matchers; the model is built once per task, with or without a
+    vocabulary, and owned by :mod:`repro.data.derived`.
+    """
+
+    def build() -> SyntheticLanguageModel:
+        vocabulary = task.metadata.get("vocabulary")
+        if not isinstance(vocabulary, ConceptVocabulary):
+            vocabulary = ConceptVocabulary(name=f"{task.name}-oov")
+        return SyntheticLanguageModel(vocabulary, dimension=dimension, seed=0)
+
+    return derived(task, ("language_model", dimension), build)
 
 
 def static_embedder_for_task(
@@ -59,8 +60,3 @@ def sentence_embedder_for_task(
     embedder = SentenceEmbedder(language_model_for_task(task, dimension))
     embedder.fit(list(task.left) + list(task.right))
     return embedder
-
-
-def clear_model_cache() -> None:
-    """Drop cached language models (used by tests)."""
-    _model_cache.clear()

@@ -21,7 +21,10 @@ recomputing. Expensive units run under an :class:`ExecutionPolicy`
 (retries, backoff, deadlines) and failures surface as
 :class:`FailureRecord` data through :meth:`ExperimentRunner.failure_records`.
 
-Every unit runs in this process, one after another.
+Every unit runs in this process, one after another. A dataset's derived
+state (feature store, lexical evidence, language models) is released when
+the runner's outermost call on that dataset returns, so memory holds one
+dataset's working set at a time (DESIGN.md §9).
 
 The runner is configured by one frozen :class:`RunnerConfig` and is wired
 into :mod:`repro.obs`: every sweep/assessment opens a trace span, cache
@@ -36,6 +39,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial, wraps
 from pathlib import Path
@@ -46,11 +50,13 @@ from repro.core.complexity.profile import ComplexityProfile
 from repro.core.linearity import LinearityResult
 from repro.core.methodology import NewBenchmark, create_benchmark
 from repro.core.practical import PracticalMeasures
+from repro.data.derived import release as release_derived_state
 from repro.data.task import MatchingTask
 from repro.datasets.registry import (
     ESTABLISHED_DATASET_IDS,
     NEW_BENCHMARK_LABELS,
     SOURCE_DATASET_IDS,
+    built_established_task,
     load_established_task,
     load_source_pair,
 )
@@ -176,6 +182,30 @@ def _observed(method):
     return wrapper
 
 
+def _per_dataset(method):
+    """Release a dataset's derived state when its outermost call returns.
+
+    The feature store, lexical evidence and language models of a dataset's
+    task (:mod:`repro.data.derived`) are shared by its a-priori measures
+    and its sweep, which nest inside one :meth:`ExperimentRunner.assessment`.
+    Once the outermost per-dataset call returns, the runner has memoized
+    that dataset's results, so memory holds one dataset's working set
+    instead of every dataset's seen so far. Release drops references only.
+    """
+
+    @wraps(method)
+    def wrapper(self, dataset_id: str, *args, **kwargs):
+        self._open_calls[dataset_id] += 1
+        try:
+            return method(self, dataset_id, *args, **kwargs)
+        finally:
+            self._open_calls[dataset_id] -= 1
+            if not self._open_calls[dataset_id]:
+                self._release_derived_state(dataset_id)
+
+    return wrapper
+
+
 class ExperimentRunner:
     """Cached orchestration of all experiments at one scale.
 
@@ -255,6 +285,7 @@ class ExperimentRunner:
         self._new_benchmarks: dict[str, NewBenchmark] = {}
         self._assessments: dict[str, BenchmarkAssessment] = {}
         self._ann_provenance: dict[str, dict[str, object]] = {}
+        self._open_calls: Counter[str] = Counter()
 
     @property
     def scale(self) -> float:
@@ -395,6 +426,16 @@ class ExperimentRunner:
                 )
         return self._ann_provenance[source_id]
 
+    def _release_derived_state(self, dataset_id: str) -> None:
+        """Drop the derived state of *dataset_id*'s task, if it was built."""
+        if dataset_id in SOURCE_DATASET_IDS:
+            benchmark = self._new_benchmarks.get(dataset_id)
+            task = benchmark.task if benchmark is not None else None
+        else:
+            task = built_established_task(dataset_id, self.size_factor)
+        if task is not None:
+            release_derived_state(task)
+
     def task_for(self, dataset_id: str) -> MatchingTask:
         """Resolve an established id (DsX/DdX/DtX) or source id to a task."""
         if dataset_id in ESTABLISHED_DATASET_IDS:
@@ -462,6 +503,7 @@ class ExperimentRunner:
         return None
 
     @_observed
+    @_per_dataset
     def matcher_results(self, dataset_id: str) -> dict[str, MatcherResult]:
         """The full matcher sweep on one dataset (Table IV / VI columns).
 
@@ -601,6 +643,7 @@ class ExperimentRunner:
     # -- assessments --------------------------------------------------------------
 
     @_observed
+    @_per_dataset
     def assessment(
         self, dataset_id: str, with_practical: bool = True
     ) -> BenchmarkAssessment:

@@ -13,10 +13,10 @@ implicitly).
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
+from repro.data.derived import derived
 from repro.data.pairs import RecordPair
 from repro.data.records import Record
 from repro.data.task import MatchingTask
@@ -115,23 +115,22 @@ class LexicalEvidence:
         )
 
 
-_EVIDENCE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def lexical_evidence_for_task(task: MatchingTask) -> LexicalEvidence:
     """The shared :class:`LexicalEvidence` of *task* (created on first use).
 
     Its vectorizer is fitted once on the task's non-empty record token
     lists, the corpus every deep family used to fit on its own; DITTO's
-    summarization and HierMatcher's token weights read it too. Keyed
-    weakly, like :func:`~repro.text.feature_store.store_for_task`.
+    summarization and HierMatcher's token weights read it too. Owned by
+    :mod:`repro.data.derived`, like
+    :func:`~repro.text.feature_store.store_for_task`.
     """
-    evidence = _EVIDENCE.get(task)
-    if evidence is None:
+
+    def build() -> LexicalEvidence:
         corpus = [
             tokenize(record.full_text())
             for record in list(task.left) + list(task.right)
         ]
         vectorizer = TfIdfVectorizer().fit(tokens for tokens in corpus if tokens)
-        evidence = _EVIDENCE.setdefault(task, LexicalEvidence(vectorizer))
-    return evidence
+        return LexicalEvidence(vectorizer)
+
+    return derived(task, ("lexical_evidence",), build)

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-import weakref
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.data.derived import derived
 from repro.text.kernels import (
     KERNEL_VERSION,
     SET_MEASURES,
@@ -425,17 +425,11 @@ class FeatureStore:
         return matrix
 
 
-_STORES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def store_for_task(task) -> FeatureStore:
     """The shared :class:`FeatureStore` of *task* (created on first use).
 
-    Keyed weakly, so a task's store — interners, encoded rows, digests —
-    dies with the task instead of pinning every record ever seen.
+    Owned by :mod:`repro.data.derived`: keyed weakly on the task, so a
+    task's store (interners, encoded rows, digests) dies with the task or
+    when the runner releases the task's derived state.
     """
-    store = _STORES.get(task)
-    if store is None:
-        store = FeatureStore()
-        _STORES[task] = store
-    return store
+    return derived(task, ("feature_store",), FeatureStore)

@@ -12,7 +12,9 @@ from repro.datasets.generator import (
     hard_negative_candidates,
     sample_candidate_pairs,
 )
+from repro.datasets.established import ESTABLISHED_PROFILES, build_established_task
 from repro.datasets.noise import NoiseModel
+from repro.datasets.registry import ESTABLISHED_DATASET_IDS
 from repro.text.similarity import jaccard_similarity
 
 
@@ -112,6 +114,54 @@ class TestHardNegatives:
         pool = hard_negative_candidates(sources, per_left=3)
         keys = {(left_id, right_id) for __, left_id, right_id in pool}
         assert not keys & sources.matches
+
+
+def token_rescoring_hard_negatives(sources, per_left):
+    """The pool as first written: each overlapping right record re-tokenized."""
+    right_records = sources.right.records()
+    index: dict[str, list[int]] = {}
+    for position, record in enumerate(right_records):
+        for token in record.tokens():
+            index.setdefault(token, []).append(position)
+    results = []
+    for left_record in sources.left:
+        left_tokens = left_record.tokens()
+        overlapping = {
+            position for token in left_tokens for position in index.get(token, ())
+        }
+        scored = []
+        for position in overlapping:
+            right_record = right_records[position]
+            if (left_record.record_id, right_record.record_id) in sources.matches:
+                continue
+            similarity = jaccard_similarity(left_tokens, right_record.tokens())
+            scored.append((similarity, right_record.record_id))
+        scored.sort(key=lambda item: (-item[0], item[1]))
+        for similarity, right_id in scored[:per_left]:
+            results.append((similarity, left_record.record_id, right_id))
+    results.sort(key=lambda item: (-item[0], item[1], item[2]))
+    return results
+
+
+@pytest.mark.parametrize("dataset_id", ESTABLISHED_DATASET_IDS)
+def test_hard_negatives_equal_token_rescoring_on_established_profiles(
+    dataset_id, monkeypatch
+):
+    """Every pool an established build draws equals the rescoring oracle."""
+    import repro.datasets.generator as generator
+
+    compared = []
+
+    def checked(sources, per_left=5):
+        pool = hard_negative_candidates(sources, per_left)
+        assert pool == token_rescoring_hard_negatives(sources, per_left)
+        compared.append(len(pool))
+        return pool
+
+    monkeypatch.setattr(generator, "hard_negative_candidates", checked)
+    build_established_task(dataset_id, size_factor=0.3)
+    if ESTABLISHED_PROFILES[dataset_id].hard_negative_fraction > 0:
+        assert compared
 
 
 class TestSampleCandidatePairs:

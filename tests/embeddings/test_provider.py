@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from repro.data.derived import _STATE, release
 from repro.embeddings.provider import (
-    clear_model_cache,
     contextual_embedder_for_task,
     language_model_for_task,
     sentence_embedder_for_task,
@@ -13,29 +13,32 @@ from repro.embeddings.provider import (
 
 class TestLanguageModelProvider:
     def test_model_cached_per_vocabulary(self, small_task):
-        clear_model_cache()
         first = language_model_for_task(small_task)
         second = language_model_for_task(small_task)
         assert first is second
 
     def test_different_dimensions_distinct(self, small_task):
-        clear_model_cache()
         small = language_model_for_task(small_task, dimension=16)
         large = language_model_for_task(small_task, dimension=32)
         assert small is not large
         assert small.dimension == 16 and large.dimension == 32
 
     def test_fallback_without_vocabulary(self, handmade_task):
-        clear_model_cache()
         model = language_model_for_task(handmade_task)
         # No vocabulary: every token is OOV and embeds via subwords.
         assert model.token_concepts("widget") == []
         vector = model.token_vector("widget")
         assert vector.shape == (64,)
 
+    def test_one_model_per_task_without_vocabulary(self, handmade_task):
+        first = language_model_for_task(handmade_task)
+        entries = len(_STATE[handmade_task])
+        assert language_model_for_task(handmade_task) is first
+        assert len(_STATE[handmade_task]) == entries
+
     def test_clear_cache(self, small_task):
         first = language_model_for_task(small_task)
-        clear_model_cache()
+        release(small_task)
         second = language_model_for_task(small_task)
         assert first is not second
 
